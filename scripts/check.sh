@@ -420,7 +420,7 @@ if echo 'int main(){}' | g++ -fsanitize=address -x c++ - \
     cmake --build build-asan --target test_checkpoint -j"$JOBS"
     ASAN_OUT=$(./build-asan/test_checkpoint \
         --gtest_filter='CheckpointFile.*:Checkpoint.FlatRestoreBitEquivalentAcrossShardCounts')
-    if ! grep -q "4 tests from 2 test suites ran" <<< "$ASAN_OUT"; then
+    if ! grep -q "5 tests from 2 test suites ran" <<< "$ASAN_OUT"; then
         echo "check.sh: ASan checkpoint tests did not run (filter out" \
              "of sync with test_checkpoint?)" >&2
         exit 1

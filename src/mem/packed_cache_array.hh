@@ -2,21 +2,20 @@
  * @file
  * Packed set-associative cache array: one 64-bit word per line.
  *
- * The generic CacheArray keeps tags, LRU stamps, and payloads in three
- * parallel planes, which is right for wide tags and fat payloads
- * (predictor tables). The simulated L1/L2 planes are the opposite
- * extreme: the payload is 1-2 bits of permission state and the tag
- * fits easily beside a 32-bit LRU stamp. Packing
+ * The simulated L1/L2 planes hold 1-2 bits of permission state per
+ * line, and the compressed tag fits easily beside a 32-bit LRU stamp.
+ * Packing
  *
  *     [ stamp:32 | tag:(32-PayloadBits) | payload:PayloadBits ]
  *
  * into a single word puts an entire 4-way set into one 32-byte,
  * line-aligned run: a probe, a hit, or a fill touches exactly one
- * host cache line where the split planes touched two or three. The
- * simulated L2s are far larger than the host's caches, so those line
- * touches -- not the walk instructions -- dominate the access+fill
- * profile; measured on the Figure-7 configs this layout is the
- * difference the probe-combining rework was after.
+ * host cache line where separate tag, stamp and payload planes
+ * would touch two or three. The simulated L2s are far larger than
+ * the host's caches, so those line touches -- not the walk
+ * instructions -- dominate the access+fill profile; measured on the
+ * Figure-7 configs this layout is the difference the
+ * probe-combining rework was after.
  *
  * The probe()/fillAt() handle carries a snapshot of the set's words.
  * Freshness is self-evident: no operation can change a set's outcome
@@ -26,10 +25,10 @@
  * no epochs, no invalidation hooks, nothing on the fast paths. The
  * comparison reads only the line fillAt() is about to write anyway.
  *
- * LRU semantics (true LRU per set, free ways first, stamp
- * renormalization every ~4 billion touches) are bit-compatible with
- * CacheArray, so swapping a level between the two layouts changes no
- * simulation statistic.
+ * Replacement is true LRU per set: a miss fills the first free way,
+ * else the way with the smallest stamp, and the stamps are
+ * renormalized, order-preserving, every ~4 billion touches so the
+ * 32-bit clock can wrap without disturbing LRU order.
  */
 
 #ifndef DSP_MEM_PACKED_CACHE_ARRAY_HH
@@ -86,7 +85,11 @@ class PackedCacheArray
     static_assert((tagFieldMask & payloadMask) == 0,
                   "tag and payload fields must not overlap");
 
-    /** See CacheArray: debug builds count tag-plane walks. */
+    /**
+     * Tag-plane walks are counted in debug builds only (the counter
+     * bump is nothing, but the hot loops stay branch-identical to the
+     * release build); tests gate their exact-count assertions on this.
+     */
 #ifndef NDEBUG
     static constexpr bool walkCounting = true;
 #else
@@ -103,8 +106,8 @@ class PackedCacheArray
     struct Handle {
         static constexpr std::uint32_t wayNpos =
             std::numeric_limits<std::uint32_t>::max();
-        /** 4 covers every real geometry (Table 4 caches, Table 3
-         *  predictor tables); wider sets re-walk at fill. */
+        /** 4 covers every real geometry (the Table 4 caches); wider
+         *  sets re-walk at fill. */
         static constexpr std::size_t maxWays = 4;
 
         std::uint64_t key = 0;
@@ -356,7 +359,9 @@ class PackedCacheArray
 
     /**
      * Insert (or overwrite) key -> payload; evicts the set's LRU line
-     * if the set is full. Fused walk (see CacheArray::insert).
+     * if the set is full. One fused walk: the fill follows the walk
+     * immediately, so the handle's snapshot bookkeeping would be pure
+     * overhead here.
      */
     std::optional<PackedEviction>
     insert(std::uint64_t key, std::uint32_t payload)
@@ -606,17 +611,15 @@ class PackedCacheArray
     /**
      * The way of `set_base` holding `tag_probe`, or ways() if none --
      * the one tag walk every lookup shape shares. 4-way sets (every
-     * real geometry) take the SWAR compare; other widths, an all-zero
-     * probe (whose lanes could falsely match an invalid line), and
-     * -DDSP_NO_SWAR builds take the scalar reference walk.
+     * real geometry) take the SWAR compare; other widths and an
+     * all-zero probe (whose lanes could falsely match an invalid line)
+     * take the scalar walk.
      */
     std::size_t
     matchWay(const Entry *set_base, Entry tag_probe) const
     {
-#ifndef DSP_NO_SWAR
         if (ways_ == 4 && tag_probe != 0)
             return matchWay4(set_base, tag_probe);
-#endif
         for (std::size_t w = 0; w < ways_; ++w) {
             Entry entry = set_base[w];
             if (((entry ^ tag_probe) & tagFieldMask) == 0 &&

@@ -1,13 +1,14 @@
 /**
  * @file
- * Unit tests for the generic set-associative cache array.
+ * Unit tests for the packed set-associative cache array, checked
+ * against a naive true-LRU reference model.
  */
 
 #include <gtest/gtest.h>
 
 #include <limits>
 
-#include "mem/cache_array.hh"
+#include "lru_model.hh"
 #include "mem/packed_cache_array.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -15,348 +16,33 @@
 namespace dsp {
 namespace {
 
-struct Payload {
-    int value = 0;
-};
-
-TEST(CacheArray, InsertAndFind)
-{
-    CacheArray<Payload> cache(4, 2);
-    EXPECT_EQ(cache.capacity(), 8u);
-    EXPECT_EQ(cache.size(), 0u);
-
-    cache.insert(10, Payload{42});
-    Payload *p = cache.find(10);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(p->value, 42);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.find(11), nullptr);
-}
-
-TEST(CacheArray, InsertOverwritesExistingKey)
-{
-    CacheArray<Payload> cache(4, 2);
-    cache.insert(10, Payload{1});
-    auto evicted = cache.insert(10, Payload{2});
-    EXPECT_FALSE(evicted.has_value());
-    EXPECT_EQ(cache.find(10)->value, 2);
-    EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(CacheArray, EvictsLruWithinSet)
-{
-    CacheArray<Payload> cache(1, 2);  // one set, 2 ways
-    cache.insert(1, Payload{1});
-    cache.insert(2, Payload{2});
-    cache.find(1);  // make key 2 the LRU
-    auto evicted = cache.insert(3, Payload{3});
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(evicted->key, 2u);
-    EXPECT_EQ(evicted->payload.value, 2);
-    EXPECT_NE(cache.find(1), nullptr);
-    EXPECT_NE(cache.find(3), nullptr);
-    EXPECT_EQ(cache.find(2), nullptr);
-}
-
-TEST(CacheArray, PeekDoesNotRefreshLru)
-{
-    CacheArray<Payload> cache(1, 2);
-    cache.insert(1, Payload{1});
-    cache.insert(2, Payload{2});
-    cache.peek(1);  // must NOT protect key 1
-    auto evicted = cache.insert(3, Payload{3});
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(evicted->key, 1u);
-}
-
-TEST(CacheArray, SetIndexingIsolatesConflicts)
-{
-    CacheArray<Payload> cache(4, 1);  // direct mapped, 4 sets
-    // Keys 0 and 4 collide (same set); 1 does not.
-    cache.insert(0, Payload{0});
-    cache.insert(1, Payload{1});
-    auto evicted = cache.insert(4, Payload{4});
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(evicted->key, 0u);
-    EXPECT_NE(cache.find(1), nullptr);
-}
-
-TEST(CacheArray, EraseRemoves)
-{
-    CacheArray<Payload> cache(2, 2);
-    cache.insert(5, Payload{5});
-    auto erased = cache.erase(5);
-    ASSERT_TRUE(erased.has_value());
-    EXPECT_EQ(erased->value, 5);
-    EXPECT_EQ(cache.find(5), nullptr);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_FALSE(cache.erase(5).has_value());
-}
-
-TEST(CacheArray, ForEachVisitsAllValidLines)
-{
-    CacheArray<Payload> cache(4, 4);
-    for (int i = 0; i < 10; ++i)
-        cache.insert(static_cast<std::uint64_t>(i), Payload{i});
-    int count = 0, sum = 0;
-    cache.forEach([&](std::uint64_t, Payload &p) {
-        ++count;
-        sum += p.value;
-    });
-    EXPECT_EQ(count, 10);
-    EXPECT_EQ(sum, 45);
-}
-
-TEST(CacheArray, ClearEmptiesEverything)
-{
-    CacheArray<Payload> cache(4, 4);
-    for (int i = 0; i < 10; ++i)
-        cache.insert(static_cast<std::uint64_t>(i), Payload{i});
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(cache.find(static_cast<std::uint64_t>(i)), nullptr);
-}
-
-TEST(CacheArray, FillsAllWaysBeforeEvicting)
-{
-    CacheArray<Payload> cache(1, 8);
-    for (int i = 0; i < 8; ++i)
-        EXPECT_FALSE(cache.insert(static_cast<std::uint64_t>(i),
-                                  Payload{i})
-                         .has_value());
-    EXPECT_TRUE(cache.insert(100, Payload{}).has_value());
-}
-
-TEST(CacheArray, ZeroGeometryPanics)
-{
-    PanicGuard guard;
-    EXPECT_THROW((CacheArray<Payload>(0, 4)), std::runtime_error);
-    EXPECT_THROW((CacheArray<Payload>(4, 0)), std::runtime_error);
-}
-
-/** Property: under random ops, size() matches a reference model. */
-TEST(CacheArray, SizeMatchesReferenceModel)
-{
-    CacheArray<Payload> cache(8, 4);
-    Rng rng(99);
-    std::size_t inserted_live = 0;
-    for (int i = 0; i < 2000; ++i) {
-        std::uint64_t key = rng.uniformInt(100);
-        if (rng.chance(0.7)) {
-            bool present = cache.peek(key) != nullptr;
-            bool evicted = cache.insert(key, Payload{}).has_value();
-            if (!present && !evicted)
-                ++inserted_live;
-        } else {
-            if (cache.erase(key).has_value())
-                --inserted_live;
-        }
-        ASSERT_EQ(cache.size(), inserted_live);
-        ASSERT_LE(cache.size(), cache.capacity());
-    }
-}
-
-// --------------------------------------------------- probe/fillAt handles
-
-TEST(CacheArrayHandle, ProbeHitAndMiss)
-{
-    CacheArray<Payload> cache(4, 2);
-    cache.insert(10, Payload{42});
-
-    auto hit = cache.probe(10);
-    ASSERT_TRUE(hit.valid());
-    EXPECT_TRUE(hit.hit());
-    EXPECT_EQ(cache.at(hit)->value, 42);
-
-    auto miss = cache.probe(14);  // same set as 10, absent
-    EXPECT_TRUE(miss.valid());
-    EXPECT_FALSE(miss.hit());
-}
-
-TEST(CacheArrayHandle, FillAtInstallsLikeInsert)
-{
-    CacheArray<Payload> cache(1, 2);
-    cache.insert(1, Payload{1});
-    cache.insert(2, Payload{2});
-    cache.find(1);  // key 2 becomes LRU
-
-    auto h = cache.probe(3);
-    auto evicted = cache.fillAt(h, Payload{3});
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(evicted->key, 2u);
-    EXPECT_TRUE(h.hit());  // handle now points at the installed line
-    EXPECT_EQ(cache.at(h)->value, 3);
-    EXPECT_EQ(cache.find(3)->value, 3);
-}
-
-TEST(CacheArrayHandle, StaleAfterEraseFreesWay)
-{
-    // An erase between probe and fill frees a way; the stale handle
-    // must re-walk and prefer the free way over evicting a live line
-    // -- exactly what a fresh insert would do.
-    CacheArray<Payload> cache(1, 2);
-    cache.insert(1, Payload{1});
-    cache.insert(2, Payload{2});
-
-    auto h = cache.probe(3);     // victim would be key 1 (LRU)
-    cache.erase(2);              // way of key 2 becomes free
-    auto evicted = cache.fillAt(h, Payload{3});
-    EXPECT_FALSE(evicted.has_value());  // took the free way
-    EXPECT_GE(cache.rewalks(), 1u);
-    EXPECT_NE(cache.find(1), nullptr);  // live line survived
-    EXPECT_NE(cache.find(3), nullptr);
-}
-
-TEST(CacheArrayHandle, StaleAfterInterveningInsert)
-{
-    // Another insert between probe and fill consumes the precomputed
-    // victim; the handle re-walks and evicts what a fresh insert
-    // would (the now-LRU line).
-    CacheArray<Payload> cache(1, 2);
-    cache.insert(1, Payload{1});
-    cache.insert(2, Payload{2});
-    cache.find(1);  // LRU order: 2, 1
-
-    auto h = cache.probe(3);              // victim = key 2
-    cache.insert(4, Payload{4});          // takes key 2's way
-    auto evicted = cache.fillAt(h, Payload{3});
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(evicted->key, 1u);          // fresh walk's LRU
-    EXPECT_NE(cache.find(3), nullptr);
-    EXPECT_NE(cache.find(4), nullptr);
-}
-
-TEST(CacheArrayHandle, StaleAfterVictimTouched)
-{
-    // A find() that touches the precomputed victim between probe and
-    // fill promotes it; the fill must evict the *new* LRU instead.
-    CacheArray<Payload> cache(1, 2);
-    cache.insert(1, Payload{1});
-    cache.insert(2, Payload{2});  // LRU order: 1, 2
-
-    auto h = cache.probe(3);      // victim = key 1
-    cache.find(1);                // key 1 promoted; key 2 now LRU
-    auto evicted = cache.fillAt(h, Payload{3});
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(evicted->key, 2u);
-}
-
-TEST(CacheArrayHandle, SurvivesLruRenormalization)
-{
-    CacheArray<Payload> cache(2, 2);
-    cache.insert(1, Payload{1});  // set 1
-    cache.insert(2, Payload{2});  // set 0
-
-    auto h = cache.probe(5);  // set 1: one valid line, one free way
-    // Force the next touch to renormalize every stamp in the array.
-    cache.debugSetUseClock(std::numeric_limits<std::uint32_t>::max());
-    cache.find(1);  // triggers renormalization
-
-    // The handle's stamps are all stale now; the fill must re-walk
-    // and still behave exactly like a fresh insert.
-    auto evicted = cache.fillAt(h, Payload{5});
-    EXPECT_FALSE(evicted.has_value());  // set had a free way
-    EXPECT_NE(cache.find(5), nullptr);
-    EXPECT_NE(cache.find(1), nullptr);
-    EXPECT_NE(cache.find(2), nullptr);
-}
-
-TEST(CacheArrayHandle, WideSetsFallBackToRewalk)
-{
-    // Associativity beyond Handle::maxWays cannot snapshot the set;
-    // fillAt must still behave exactly like insert (via re-walk).
-    CacheArray<Payload> cache(1, 8);
-    for (int i = 0; i < 8; ++i)
-        cache.insert(static_cast<std::uint64_t>(i), Payload{i});
-    auto h = cache.probe(100);
-    auto evicted = cache.fillAt(h, Payload{100});
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(evicted->key, 0u);  // true LRU
-    EXPECT_NE(cache.find(100), nullptr);
-}
-
 /**
- * Property: a probe/touchAt/fillAt client is indistinguishable from a
- * find/insert client, under random interleavings of lookups, inserts,
- * erases, and handle-held fills (including handles held across
- * arbitrary intervening operations on the same sets).
+ * Deterministic LRU scenario against the reference model, at 4 ways
+ * (the SWAR tag compare) and at 2 and 8 ways (the scalar walk).
  */
-TEST(CacheArrayHandle, RandomizedEquivalenceWithFindInsert)
+TEST(PackedCacheArray, InsertFindEvictMatchesLruModel)
 {
-    CacheArray<Payload> viaHandles(8, 4);
-    CacheArray<Payload> viaInsert(8, 4);
-    Rng rng(2024);
-
-    for (int i = 0; i < 5000; ++i) {
-        std::uint64_t key = rng.uniformInt(96);
-        int op = static_cast<int>(rng.uniformInt(10));
-        if (op < 4) {
-            // Lookup through both APIs; identical hit/miss + payload.
-            auto h = viaHandles.probe(key);
-            Payload *p = viaInsert.find(key);
-            ASSERT_EQ(h.hit(), p != nullptr);
-            if (h.hit()) {
-                ASSERT_EQ(viaHandles.at(h)->value, p->value);
-                viaHandles.touchAt(h);
-            }
-        } else if (op < 7) {
-            // Install, with a random number of intervening operations
-            // between the probe and its fill.
-            auto h = viaHandles.probe(key);
-            int extra = static_cast<int>(rng.uniformInt(3));
-            for (int e = 0; e < extra; ++e) {
-                std::uint64_t other = rng.uniformInt(96);
-                if (rng.chance(0.5)) {
-                    viaHandles.insert(other, Payload{-1});
-                    viaInsert.insert(other, Payload{-1});
-                } else {
-                    auto ea = viaHandles.erase(other);
-                    auto eb = viaInsert.erase(other);
-                    ASSERT_EQ(ea.has_value(), eb.has_value());
-                }
-            }
-            int value = static_cast<int>(i);
-            auto ea = viaHandles.fillAt(h, Payload{value});
-            auto eb = viaInsert.insert(key, Payload{value});
-            ASSERT_EQ(ea.has_value(), eb.has_value());
-            if (ea) {
-                ASSERT_EQ(ea->key, eb->key);
-                ASSERT_EQ(ea->payload.value, eb->payload.value);
-            }
-        } else if (op < 9) {
-            auto ea = viaHandles.erase(key);
-            auto eb = viaInsert.erase(key);
-            ASSERT_EQ(ea.has_value(), eb.has_value());
-        } else {
-            ASSERT_EQ(viaHandles.size(), viaInsert.size());
+    for (std::size_t ways : {2u, 4u, 8u}) {
+        SCOPED_TRACE(ways);
+        PackedCacheArray<2> cache(1, ways);
+        LruModel model(1, ways);
+        for (std::uint64_t k = 1; k <= ways; ++k) {
+            EXPECT_FALSE(cache.insert(k, k & 3).has_value());
+            EXPECT_FALSE(model.insert(k).has_value());
         }
+        ASSERT_NE(cache.find(1), nullptr);  // key 2 becomes LRU
+        ASSERT_TRUE(model.find(1));
+        auto evicted = cache.insert(100, 1);
+        auto modelEvicted = model.insert(100);
+        ASSERT_TRUE(evicted.has_value());
+        ASSERT_TRUE(modelEvicted.has_value());
+        EXPECT_EQ(evicted->key, 2u);
+        EXPECT_EQ(evicted->key, *modelEvicted);
+        EXPECT_EQ(evicted->payload, 2u);
+        EXPECT_EQ(cache.size(), model.size());
+        EXPECT_EQ(cache.peek(100).value(), 1u);
+        EXPECT_FALSE(cache.peek(2).has_value());
     }
-
-    // Final states are identical line for line.
-    viaInsert.forEach([&](std::uint64_t key, Payload &p) {
-        const Payload *q = viaHandles.peek(key);
-        ASSERT_NE(q, nullptr);
-        ASSERT_EQ(q->value, p.value);
-    });
-    ASSERT_EQ(viaHandles.size(), viaInsert.size());
-}
-
-// ------------------------------------------------------ packed cache array
-
-TEST(PackedCacheArray, InsertFindEvictMirrorsGeneric)
-{
-    PackedCacheArray<2> cache(1, 2);
-    EXPECT_FALSE(cache.insert(1, 3).has_value());
-    EXPECT_FALSE(cache.insert(2, 1).has_value());
-    ASSERT_NE(cache.find(1), nullptr);  // key 2 becomes LRU
-    auto evicted = cache.insert(3, 2);
-    ASSERT_TRUE(evicted.has_value());
-    EXPECT_EQ(evicted->key, 2u);
-    EXPECT_EQ(evicted->payload, 1u);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.peek(3).value(), 2u);
-    EXPECT_FALSE(cache.peek(2).has_value());
 }
 
 TEST(PackedCacheArray, PayloadMutationInPlace)
@@ -412,50 +98,59 @@ TEST(PackedCacheArray, HandleSurvivesRenormalization)
     EXPECT_EQ(cache.peek(1).value(), 1u);
 }
 
-/** Property: packed probe/fillAt vs packed find/insert equivalence,
- *  and packed vs generic CacheArray LRU equivalence, in one run. */
-TEST(PackedCacheArray, RandomizedEquivalenceWithGenericArray)
+/**
+ * Property: packed probe/fillAt and packed find/insert agree with each
+ * other and with the reference LRU model (hit/miss, evicted key, size)
+ * under random lookups, fills, and erases, at 4 ways (SWAR) and at 2
+ * and 8 ways (scalar; 8 also exceeds the handle's snapshot width).
+ */
+TEST(PackedCacheArray, RandomizedEquivalenceWithLruModel)
 {
-    PackedCacheArray<2> packedHandles(8, 4);
-    PackedCacheArray<2> packedInsert(8, 4);
-    CacheArray<Payload> generic(8, 4);
-    Rng rng(77);
+    constexpr std::size_t sets = 8;
+    for (std::size_t ways : {2u, 4u, 8u}) {
+        SCOPED_TRACE(ways);
+        PackedCacheArray<2> packedHandles(sets, ways);
+        PackedCacheArray<2> packedInsert(sets, ways);
+        LruModel model(sets, ways);
+        Rng rng(77);
 
-    for (int i = 0; i < 5000; ++i) {
-        std::uint64_t key = rng.uniformInt(96);
-        std::uint32_t payload =
-            static_cast<std::uint32_t>(rng.uniformInt(4));
-        int op = static_cast<int>(rng.uniformInt(10));
-        if (op < 4) {
-            auto h = packedHandles.probe(key);
-            auto *pi = packedInsert.find(key);
-            Payload *g = generic.find(key);
-            ASSERT_EQ(h.hit(), pi != nullptr);
-            ASSERT_EQ(h.hit(), g != nullptr);
-            if (h.hit())
-                packedHandles.touchAt(h);
-        } else if (op < 8) {
-            auto h = packedHandles.probe(key);
-            auto ea = packedHandles.fillAt(h, payload);
-            auto eb = packedInsert.insert(key, payload);
-            auto eg = generic.insert(
-                key, Payload{static_cast<int>(payload)});
-            ASSERT_EQ(ea.has_value(), eb.has_value());
-            ASSERT_EQ(ea.has_value(), eg.has_value());
-            if (ea) {
-                ASSERT_EQ(ea->key, eb->key);
-                ASSERT_EQ(ea->key, eg->key);
-                ASSERT_EQ(ea->payload, eb->payload);
+        for (int i = 0; i < 5000; ++i) {
+            // Three keys per line: every set sees steady eviction.
+            std::uint64_t key = rng.uniformInt(3 * sets * ways);
+            std::uint32_t payload =
+                static_cast<std::uint32_t>(rng.uniformInt(4));
+            int op = static_cast<int>(rng.uniformInt(10));
+            if (op < 4) {
+                auto h = packedHandles.probe(key);
+                auto *pi = packedInsert.find(key);
+                ASSERT_EQ(h.hit(), pi != nullptr);
+                ASSERT_EQ(h.hit(), model.find(key));
+                if (h.hit()) {
+                    ASSERT_EQ(packedHandles.at(h),
+                              PackedCacheArray<2>::payloadOf(*pi));
+                    packedHandles.touchAt(h);
+                }
+            } else if (op < 8) {
+                auto h = packedHandles.probe(key);
+                auto ea = packedHandles.fillAt(h, payload);
+                auto eb = packedInsert.insert(key, payload);
+                auto em = model.insert(key);
+                ASSERT_EQ(ea.has_value(), eb.has_value());
+                ASSERT_EQ(ea.has_value(), em.has_value());
+                if (ea) {
+                    ASSERT_EQ(ea->key, eb->key);
+                    ASSERT_EQ(ea->key, *em);
+                    ASSERT_EQ(ea->payload, eb->payload);
+                }
+            } else {
+                auto ea = packedHandles.erase(key);
+                auto eb = packedInsert.erase(key);
+                ASSERT_EQ(ea.has_value(), eb.has_value());
+                ASSERT_EQ(ea.has_value(), model.erase(key));
             }
-        } else {
-            auto ea = packedHandles.erase(key);
-            auto eb = packedInsert.erase(key);
-            auto eg = generic.erase(key);
-            ASSERT_EQ(ea.has_value(), eb.has_value());
-            ASSERT_EQ(ea.has_value(), eg.has_value());
+            ASSERT_EQ(packedHandles.size(), packedInsert.size());
+            ASSERT_EQ(packedHandles.size(), model.size());
         }
-        ASSERT_EQ(packedHandles.size(), packedInsert.size());
-        ASSERT_EQ(packedHandles.size(), generic.size());
     }
 }
 

@@ -322,6 +322,28 @@ TEST(CheckpointFile, CorruptAndTruncatedRejectedAndQuarantined)
     EXPECT_EQ(ckpt::newestValidCheckpoint(dir.path), std::string());
 }
 
+TEST(CheckpointFile, PreviousFormatVersionRejectedAndQuarantined)
+{
+    // A snapshot written by the previous format is intact (its CRC
+    // still holds) but must never be read with the current layout.
+    TempDir dir;
+    std::string path = ckpt::checkpointPath(dir.path, 100);
+    ASSERT_TRUE(ckpt::writeCheckpointFile(path, std::string(256, 'v')));
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::uint32_t previous = ckpt::formatVersion - 1;
+    // The header starts magic, version.
+    std::fseek(f, sizeof(ckpt::fileMagic), SEEK_SET);
+    ASSERT_EQ(std::fwrite(&previous, sizeof(previous), 1, f), 1u);
+    std::fclose(f);
+
+    std::string back;
+    EXPECT_FALSE(ckpt::readCheckpointFile(path, back));
+    EXPECT_EQ(ckpt::newestValidCheckpoint(dir.path), std::string());
+    struct stat st;
+    EXPECT_EQ(::stat((path + ".corrupt").c_str(), &st), 0);
+}
+
 TEST(CheckpointFile, PruneKeepsNewestAndNeverCountsCorrupt)
 {
     TempDir dir;
