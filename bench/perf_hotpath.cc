@@ -426,15 +426,12 @@ writeJson(const HotpathOptions &opt,
                      r.stats.touchedWordsPerAccess());
         std::fprintf(f, "      \"barriers_per_window\": %.4f,\n",
                      r.barriersPerWindow());
-        // Host performance counters, not figure statistics: fused
-        // chains skip calendar inserts/pops, and prefetch hints are
-        // same-shard gated, so both are partition-dependent and stay
-        // out of the determinism / repeat-divergence comparisons.
+        // Host performance counter, not a figure statistic: a fused
+        // chain advance can be refused near a shard-window boundary,
+        // so it is partition-dependent and stays out of the
+        // determinism / repeat-divergence comparisons.
         std::fprintf(f, "      \"calendar_ops_per_miss\": %.4f,\n",
                      r.stats.calendarOpsPerMiss());
-        std::fprintf(f, "      \"prefetch_issued\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         r.stats.prefetchIssued));
         std::fprintf(f, "      \"sim_runtime_ms\": %.3f\n",
                      r.stats.runtimeMs());
         std::fprintf(f, "    }%s\n",

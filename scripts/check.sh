@@ -146,7 +146,7 @@ for c in configs:
         sys.exit("config %r is marked partial" % c.get("name"))
     for field in ("events_per_sec", "barriers_per_window",
                   "l0_hit_rate", "events", "misses",
-                  "calendar_ops_per_miss", "prefetch_issued"):
+                  "calendar_ops_per_miss"):
         v = c.get(field)
         if not isinstance(v, (int, float)) or isinstance(v, bool) \
                 or not math.isfinite(v):
@@ -160,7 +160,7 @@ PYEOF
             and ([.configs[] | (.partial // false) | not] | all)
             and ([.configs[] | .events_per_sec, .barriers_per_window,
                   .l0_hit_rate, .events, .misses,
-                  .calendar_ops_per_miss, .prefetch_issued]
+                  .calendar_ops_per_miss]
                  | all(type == "number" and (isinfinite | not)
                        and (isnan | not)))' "$file" > /dev/null
     else
@@ -242,15 +242,13 @@ if [[ -f "$BASELINE" ]]; then
     fi
 fi
 
-# Hot-path counter guards (PR 10). calendar_ops_per_miss pins the
+# Hot-path counter guard. calendar_ops_per_miss pins the
 # chain-fusion win: a >15% rise vs the committed baseline on a
 # multicast config means fusion quietly stopped firing. The comparison
 # is skipped when the baseline predates the field (first run after it
-# landed). prefetch_issued must be non-zero on the single-threaded
-# configs: at K=1 every hint is same-shard, so zero means the hint
-# sites are dead. Both are host performance counters, deliberately
-# absent from the determinism extraction below (they are
-# partition-dependent by design).
+# landed). It is a host performance counter, deliberately absent from
+# the determinism extraction below (it is partition-dependent by
+# design).
 extract_field() {
     awk -F: -v field="$2" '
         /"name"/ { gsub(/[ ",]/, "", $2); name = $2 }
@@ -258,15 +256,6 @@ extract_field() {
             gsub(/[ ,]/, "", $2); print name, $2
         }' "$1"
 }
-PREFETCH_ZERO=$(extract_field "$FRESH" prefetch_issued | awk '
-    ($1 == "snooping" || $1 == "multicast-owner-group") && $2 + 0 == 0 \
-        { print $1 }')
-if [[ -n "$PREFETCH_ZERO" ]]; then
-    echo "check.sh: prefetch_issued is zero on:" $PREFETCH_ZERO "--" \
-         "the send-time prefetch hints are not firing" >&2
-    exit 1
-fi
-echo "prefetch_issued: non-zero on the single-threaded configs"
 if [[ -f "$BASELINE" ]] && grep -q '"calendar_ops_per_miss"' "$BASELINE"
 then
     if ! { extract_field "$BASELINE" calendar_ops_per_miss; echo "--"

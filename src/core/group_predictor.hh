@@ -25,7 +25,7 @@ namespace dsp {
  * Per-entry state: N 2-bit counters + a 5-bit rollover counter.
  *
  * The counters are packed two bits per processor into uint64 words
- * (16 bytes for the full 64-node limit, vs. 64 bytes as a byte array)
+ * (64 bytes for the full 256-node limit, vs. 256 as a byte array)
  * so predictor table lines stay small, and decay/extract are SWAR
  * operations instead of per-node loops.
  */
@@ -79,19 +79,19 @@ struct GroupEntry {
     DestinationSet
     predictedSet(NodeId /* num_nodes */) const
     {
-        std::uint64_t mask = 0;
+        DestinationSet::Words words{};
         for (unsigned w = 0; w < packed.size(); ++w) {
             std::uint64_t high =
                 (packed[w] >> 1) & 0x5555555555555555ULL;
             while (high != 0) {
                 unsigned bit = static_cast<unsigned>(
                     __builtin_ctzll(high));
-                mask |= std::uint64_t{1}
-                        << (w * fieldsPerWord + bit / 2);
+                unsigned node = w * fieldsPerWord + bit / 2;
+                words[node / 64] |= std::uint64_t{1} << (node % 64);
                 high &= high - 1;
             }
         }
-        return DestinationSet::fromMask(mask);
+        return DestinationSet::fromWords(words);
     }
 };
 
@@ -111,13 +111,6 @@ class GroupPredictor : public Predictor
                        bool insufficient) override;
     void trainExternalRequest(Addr addr, Addr pc, RequestType type,
                               NodeId requester) override;
-
-    unsigned
-    prefetchTables(Addr addr, Addr pc) const override
-    {
-        table_.prefetch(indexKey(config_.indexing, addr, pc));
-        return 1;
-    }
 
     std::string name() const override { return "group"; }
     std::size_t entryCount() const override { return table_.size(); }

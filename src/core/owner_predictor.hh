@@ -39,13 +39,6 @@ class OwnerPredictor : public Predictor
     void trainExternalRequest(Addr addr, Addr pc, RequestType type,
                               NodeId requester) override;
 
-    unsigned
-    prefetchTables(Addr addr, Addr pc) const override
-    {
-        table_.prefetch(indexKey(config_.indexing, addr, pc));
-        return 1;
-    }
-
     std::string name() const override { return "owner"; }
     std::size_t entryCount() const override { return table_.size(); }
 

@@ -132,22 +132,6 @@ class Predictor
         (void)true_required;
     }
 
-    /**
-     * Host-prefetch the table set/slot a predict() or train call for
-     * this access will walk -- issued at request send, one network hop
-     * before the lookup runs, so the table line is warm by then.
-     * Semantically a no-op; returns the number of prefetches issued
-     * (0 for the stateless baselines) so the bench can report
-     * prefetch coverage.
-     */
-    virtual unsigned
-    prefetchTables(Addr addr, Addr pc) const
-    {
-        (void)addr;
-        (void)pc;
-        return 0;
-    }
-
     /** Policy name for report tables. */
     virtual std::string name() const = 0;
 

@@ -139,21 +139,6 @@ class PredictorTable
         return &unbounded_.try_emplace(key).first->second;
     }
 
-    /** Host-prefetch the planes a lookup of `key` will walk (the
-     *  finite table's tag and stamp runs, or the hash map's home
-     *  slot). Semantically a no-op. */
-    void
-    prefetch(std::uint64_t key) const
-    {
-        if (!unbounded()) {
-            std::size_t base = setOf(key) * ways_;
-            __builtin_prefetch(tags_.data() + base, 0, 3);
-            __builtin_prefetch(stamps_.data() + base, 0, 3);
-        } else {
-            unbounded_.prefetch(key);
-        }
-    }
-
     /** Number of live entries. */
     std::size_t
     size() const

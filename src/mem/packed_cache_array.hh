@@ -74,17 +74,6 @@ class PackedCacheArray
      *  actually examines. */
     static constexpr Entry tagFieldMask = tagMask << PayloadBits;
 
-    // The SWAR way-compare (matchWay4) packs two ways' masked tag
-    // XORs into one 64-bit word, a 32-bit lane each; the layout
-    // invariants it rides on are structural, so pin them at compile
-    // time rather than trusting the prose above.
-    static_assert(PayloadBits + tagBits == 32,
-                  "tag+payload must fill the word's low half");
-    static_assert((tagFieldMask >> 32) == 0,
-                  "masked tag XOR must fit one 32-bit SWAR lane");
-    static_assert((tagFieldMask & payloadMask) == 0,
-                  "tag and payload fields must not overlap");
-
     /**
      * Tag-plane walks are counted in debug builds only (the counter
      * bump is nothing, but the hot loops stay branch-identical to the
@@ -568,58 +557,14 @@ class PackedCacheArray
 
   private:
     /**
-     * SWAR compare of a 4-way set against one tag probe: two packed
-     * haszero tests instead of four compare-and-branch way checks.
-     *
-     * Per way, x = (word ^ probe) & tagFieldMask is zero exactly on a
-     * tag match and fits one 32-bit lane (static_asserts above), so
-     * two ways pack into one 64-bit word and HZ(v) = (v - lane ones)
-     * & ~v & lane signs flags the zero lanes. The subtraction can
-     * borrow into the *upper* lane only, and only when the lower lane
-     * is zero -- so testing lanes low-to-high and stopping at the
-     * first flag never reads a borrow artifact: the lowest flagged
-     * lane is always a true zero.
-     *
-     * Validity needs no lane of its own: the caller guarantees
-     * probe != 0, an invalid line's word is all-zero (every write is
-     * either a full word with a fresh nonzero stamp or plain zero),
-     * and a match forces the word's tag field equal to the nonzero
-     * probe -- so any flagged lane is a live line.
-     *
-     * @return the matching way, or 4 if none.
-     */
-    static std::size_t
-    matchWay4(const Entry *set_base, Entry tag_probe)
-    {
-        constexpr std::uint64_t laneOnes = 0x0000000100000001ull;
-        constexpr std::uint64_t laneSigns = 0x8000000080000000ull;
-        std::uint64_t x0 = (set_base[0] ^ tag_probe) & tagFieldMask;
-        std::uint64_t x1 = (set_base[1] ^ tag_probe) & tagFieldMask;
-        std::uint64_t x2 = (set_base[2] ^ tag_probe) & tagFieldMask;
-        std::uint64_t x3 = (set_base[3] ^ tag_probe) & tagFieldMask;
-        std::uint64_t pair01 = x0 | (x1 << 32);
-        std::uint64_t pair23 = x2 | (x3 << 32);
-        std::uint64_t hz01 = (pair01 - laneOnes) & ~pair01 & laneSigns;
-        std::uint64_t hz23 = (pair23 - laneOnes) & ~pair23 & laneSigns;
-        if (hz01 != 0)
-            return (hz01 & 0x80000000ull) != 0 ? 0 : 1;
-        if (hz23 != 0)
-            return (hz23 & 0x80000000ull) != 0 ? 2 : 3;
-        return 4;
-    }
-
-    /**
      * The way of `set_base` holding `tag_probe`, or ways() if none --
-     * the one tag walk every lookup shape shares. 4-way sets (every
-     * real geometry) take the SWAR compare; other widths and an
-     * all-zero probe (whose lanes could falsely match an invalid line)
-     * take the scalar walk.
+     * the one tag walk every lookup shape shares. A live line always
+     * has a nonzero stamp, so `(entry >> 32) != 0` rejects invalid
+     * (all-zero) ways even for an all-zero probe.
      */
     std::size_t
     matchWay(const Entry *set_base, Entry tag_probe) const
     {
-        if (ways_ == 4 && tag_probe != 0)
-            return matchWay4(set_base, tag_probe);
         for (std::size_t w = 0; w < ways_; ++w) {
             Entry entry = set_base[w];
             if (((entry ^ tag_probe) & tagFieldMask) == 0 &&

@@ -189,15 +189,6 @@ class ShardedKernel
     Tick lookahead() const { return lookahead_; }
     unsigned numShards() const { return numShards_; }
 
-    /** Shard owning `domain`. Host-side prefetch hints gate on this:
-     *  touching another shard's live structures -- even just to warm
-     *  the host cache -- would race its worker thread. */
-    unsigned
-    shardOf(std::uint16_t domain) const
-    {
-        return domainShard_[domain];
-    }
-
     /**
      * Run windows until `stop` returns true at a window boundary
      * (finishing the window in progress first -- part of the

@@ -670,49 +670,6 @@ System::recordCompletion(const Message &msg, Tick tick)
         ++acc.indirections;
 }
 
-bool
-System::sameShard(std::uint16_t a, std::uint16_t b) const
-{
-    return kernel_.shardOf(a) == kernel_.shardOf(b);
-}
-
-void
-System::prefetchTracker(BlockId block, NodeId issuer)
-{
-    unsigned hub = topo_.hubOf(block);
-    // Node n lives in domain n + 1 (see hubDomainFor's layout note).
-    if (!sameShard(static_cast<std::uint16_t>(issuer + 1),
-                   hubDomainFor(params_, hub)))
-        return;
-    trackers_[hub].prefetch(block);
-    if (measuring_)
-        ++nodeStats_[issuer].prefetches;
-}
-
-void
-System::prefetchPredictor(NodeId node, Addr addr, Addr pc)
-{
-    if (params_.protocol != ProtocolKind::Multicast)
-        return;
-    unsigned warmed = predictors_[node]->prefetchTables(addr, pc);
-    if (measuring_)
-        nodeStats_[node].prefetches += warmed;
-}
-
-void
-System::prefetchCompletion(NodeId requester, BlockId block,
-                           std::uint16_t from_domain)
-{
-    if (!sameShard(from_domain,
-                   static_cast<std::uint16_t>(requester + 1)))
-        return;
-    cacheCtrls_[requester]->prefetchFill(block);
-    // Single-writer: the gate above means this runs on the shard (and
-    // thus the worker thread) that owns the requester's accumulator.
-    if (measuring_)
-        ++nodeStats_[requester].prefetches;
-}
-
 std::function<void()>
 System::cpuDoneCallback()
 {
@@ -995,7 +952,6 @@ System::run()
         stats.doubleRetries += acc.doubleRetries;
         stats.upgrades += acc.upgrades;
         stats.cacheToCache += acc.cacheToCache;
-        stats.prefetchIssued += acc.prefetches;
     }
     stats.requestMessages =
         crossbar_.traffic(MessageKind::Request).messages +

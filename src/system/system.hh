@@ -220,11 +220,9 @@ struct SystemStats {
      *  counts -- a host performance counter, never a figure
      *  statistic. */
     std::uint64_t calendarOps = 0;
-    /** Host-side prefetch hints issued in the measured phase (tracker
-     *  buckets and predictor sets at request send, MSHR bucket + L2
-     *  sets at data send). Cross-domain hints only fire when issuer
-     *  and target share a shard, so this too is partition-dependent
-     *  and excluded from the determinism cross-checks. */
+    /** Always 0: the send-time host prefetch hints it counted were
+     *  deleted. Kept only because the benchmark runner still reports
+     *  it as `mem.prefetches_per_miss`; drop it with that metric. */
     std::uint64_t prefetchIssued = 0;
 
     double
@@ -298,15 +296,6 @@ class CacheController : public MemoryPort
 
     NodeCaches &caches() { return caches_; }
     std::size_t outstandingMshrs() const { return mshrs_.size(); }
-
-    /** Host-cache hint on the completion path: warm the MSHR bucket
-     *  and the cache sets the imminent fill will walk. */
-    void
-    prefetchFill(BlockId block)
-    {
-        mshrs_.prefetch(block);
-        caches_.prefetchSets(block);
-    }
 
     /** Checkpoint caches, the MSHR file (waiter completions are saved
      *  as tokens and rebuilt through the owning CPU), and the txn-id
@@ -462,7 +451,6 @@ class System
         std::uint64_t upgrades = 0;
         std::uint64_t cacheToCache = 0;
         Tick latencySum = 0;
-        std::uint64_t prefetches = 0;  ///< host-side hints issued
     };
 
     // -- crossbar callbacks
@@ -502,27 +490,6 @@ class System
 
     /** Train the requester's predictor at completion time. */
     void trainRequester(const Message &msg);
-
-    // -- host-side prefetch hints (semantic no-ops; see
-    // docs/access_pipeline.md). Cross-domain hints are legal only
-    // within one shard: another shard's worker thread may be mutating
-    // the target structure, and even a speculative read of its table
-    // geometry would race.
-    /** True when both domains run on one shard (one worker thread). */
-    bool sameShard(std::uint16_t a, std::uint16_t b) const;
-
-    /** Warm the hub's tracker bucket for `block` at request send, one
-     *  hop before the ordering point applies the request. */
-    void prefetchTracker(BlockId block, NodeId issuer);
-
-    /** Warm the issuing node's own predictor-table set ahead of the
-     *  issue event's destinationsFor() walk. */
-    void prefetchPredictor(NodeId node, Addr addr, Addr pc);
-
-    /** Warm the requester's MSHR bucket and cache sets when its data
-     *  (or grant) goes on the wire, ~one hop before complete(). */
-    void prefetchCompletion(NodeId requester, BlockId block,
-                            std::uint16_t from_domain);
 
     // -- ordering-point (hub domain) helpers
     /** Fill the echo's supplyEarliest and update the expected
@@ -620,13 +587,6 @@ class System
     {
         return Topology(p.nodes, p.crossbar.topology,
                         p.crossbar.traversal_ns);
-    }
-
-    /** Kernel-domain layout: node n -> n + 1, hub h -> nodes + 1 + h. */
-    static std::uint16_t
-    hubDomainFor(const SystemParams &p, unsigned hub)
-    {
-        return static_cast<std::uint16_t>(p.nodes + 1 + hub);
     }
 
     Workload &workload_;

@@ -17,8 +17,8 @@ namespace dsp {
 namespace {
 
 /**
- * Deterministic LRU scenario against the reference model, at 4 ways
- * (the SWAR tag compare) and at 2 and 8 ways (the scalar walk).
+ * Deterministic LRU scenario against the reference model, at 2, 4
+ * and 8 ways.
  */
 TEST(PackedCacheArray, InsertFindEvictMatchesLruModel)
 {
@@ -101,8 +101,8 @@ TEST(PackedCacheArray, HandleSurvivesRenormalization)
 /**
  * Property: packed probe/fillAt and packed find/insert agree with each
  * other and with the reference LRU model (hit/miss, evicted key, size)
- * under random lookups, fills, and erases, at 4 ways (SWAR) and at 2
- * and 8 ways (scalar; 8 also exceeds the handle's snapshot width).
+ * under random lookups, fills, and erases, at 2, 4 and 8 ways (8
+ * exceeds the handle's snapshot width).
  */
 TEST(PackedCacheArray, RandomizedEquivalenceWithLruModel)
 {

@@ -320,6 +320,51 @@ TEST(OwnerGroup, MemoryResponseClearsOwnerOnly)
     EXPECT_TRUE(write.contains(5));  // group survives
 }
 
+// ------------------------------------------------------- 256-node machines
+
+/**
+ * Strengthen nodes 70 and 255 -- both outside the low 64-bit word --
+ * on a 256-node machine and check the group counters predict them
+ * there, not aliased onto node % 64.
+ */
+template <typename Pred>
+void
+expectGroupPredictsHighNodes()
+{
+    constexpr NodeId nodes = 256;
+    PredictorConfig c = config();
+    c.numNodes = nodes;
+    Pred pred(c);
+    for (NodeId n : {70, 255, 70, 255})
+        pred.trainResponse(kAddr, kPc, n, true);
+    // A memory response clears Owner-Group's owner pointer, so the
+    // write prediction below comes from the group counters alone.
+    pred.trainResponse(kAddr, kPc, invalidNode, false);
+
+    DestinationSet set = pred.predict(
+        kAddr, kPc, RequestType::GetExclusive, kReq, kHome);
+    SCOPED_TRACE(set.toString());
+    for (NodeId n : {70, 255}) {
+        EXPECT_TRUE(set.contains(n)) << n;
+        EXPECT_FALSE(set.contains(n % 64)) << n % 64;
+    }
+    set.forEach([&](NodeId n) { EXPECT_LT(n, nodes); });
+    DestinationSet expected = minimal();
+    expected.add(70);
+    expected.add(255);
+    EXPECT_EQ(set, expected);
+}
+
+TEST(Group, PredictsNodesAbove63On256Nodes)
+{
+    expectGroupPredictsHighNodes<GroupPredictor>();
+}
+
+TEST(OwnerGroup, PredictsNodesAbove63On256Nodes)
+{
+    expectGroupPredictsHighNodes<OwnerGroupPredictor>();
+}
+
 // ---------------------------------------------------------- StickySpatial
 
 TEST(StickySpatial, TrainsFromResponses)
