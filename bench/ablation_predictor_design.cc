@@ -19,7 +19,7 @@
 
 #include "analysis/predictor_eval.hh"
 #include "bench_common.hh"
-#include "core/sticky_spatial.hh"
+#include "core/factory.hh"
 #include "stats/table.hh"
 
 namespace {
@@ -34,13 +34,10 @@ evalStickyDegree(const Trace &trace, NodeId nodes,
     PredictorConfig config;
     config.numNodes = nodes;
     config.entries = entries;
-    config.indexing = IndexingMode::Block64;
-    config.ways = 1;
 
     std::vector<std::unique_ptr<Predictor>> predictors;
     for (NodeId n = 0; n < nodes; ++n)
-        predictors.push_back(
-            std::make_unique<StickySpatialPredictor>(config, degree));
+        predictors.push_back(makeStickySpatial(config, degree));
 
     MulticastSnoopingModel protocol(nodes);
     EvalResult result;

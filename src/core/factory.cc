@@ -62,6 +62,36 @@ proposedPolicies()
     return policies;
 }
 
+namespace {
+
+/**
+ * Build Pred<W> for the narrowest W in 1, 2, 4, ... whose
+ * Pred<W>::nodeCapacity covers config.numNodes. The widths stop at
+ * the one covering maxNodes, whose constructor rejects anything larger.
+ */
+template <template <unsigned> class Pred, unsigned Words = 1,
+          typename... Args>
+std::unique_ptr<Predictor>
+makeNarrowest(const PredictorConfig &config, Args... args)
+{
+    if constexpr (Pred<Words>::nodeCapacity < maxNodes) {
+        if (config.numNodes > Pred<Words>::nodeCapacity)
+            return makeNarrowest<Pred, 2 * Words>(config, args...);
+    }
+    return std::make_unique<Pred<Words>>(config, args...);
+}
+
+} // namespace
+
+std::unique_ptr<Predictor>
+makeStickySpatial(PredictorConfig config, unsigned spatial_degree)
+{
+    config.indexing = IndexingMode::Block64;
+    config.ways = 1;
+    return makeNarrowest<BasicStickySpatialPredictor>(config,
+                                                      spatial_degree);
+}
+
 std::unique_ptr<Predictor>
 makePredictor(PredictorPolicy policy, PredictorConfig config)
 {
@@ -71,14 +101,11 @@ makePredictor(PredictorPolicy policy, PredictorConfig config)
       case PredictorPolicy::BroadcastIfShared:
         return std::make_unique<BroadcastIfSharedPredictor>(config);
       case PredictorPolicy::Group:
-        return std::make_unique<GroupPredictor>(config);
+        return makeNarrowest<BasicGroupPredictor>(config);
       case PredictorPolicy::OwnerGroup:
-        return std::make_unique<OwnerGroupPredictor>(config);
+        return makeNarrowest<BasicOwnerGroupPredictor>(config);
       case PredictorPolicy::StickySpatial:
-        // Faithful reconstruction: direct-mapped, block indexed.
-        config.indexing = IndexingMode::Block64;
-        config.ways = 1;
-        return std::make_unique<StickySpatialPredictor>(config, 1);
+        return makeStickySpatial(config, 1);
       case PredictorPolicy::AlwaysBroadcast:
         return std::make_unique<AlwaysBroadcastPredictor>(config);
       case PredictorPolicy::AlwaysMinimal:

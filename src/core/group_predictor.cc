@@ -1,51 +1,73 @@
 #include "core/group_predictor.hh"
 
+#include "sim/logging.hh"
+
 namespace dsp {
 
+template <unsigned Words>
+BasicGroupPredictor<Words>::BasicGroupPredictor(
+    const PredictorConfig &config)
+    : Predictor(config), table_(config.entries, config.ways)
+{
+    dsp_assert(config.numNodes <= nodeCapacity,
+               "%u nodes exceed a %u-word Group entry (%u nodes)",
+               config.numNodes, Words, nodeCapacity);
+}
+
+template <unsigned Words>
 DestinationSet
-GroupPredictor::predict(Addr addr, Addr pc, RequestType /* type */,
-                        NodeId requester, NodeId home)
+BasicGroupPredictor<Words>::predict(Addr addr, Addr pc,
+                                    RequestType /* type */,
+                                    NodeId requester, NodeId home)
 {
     DestinationSet set = minimalSet(requester, home);
-    if (GroupEntry *entry =
-            table_.find(indexKey(config_.indexing, addr, pc)))
-        set |= entry->predictedSet(config_.numNodes);
+    if (Entry *entry = table_.find(indexKey(config_.indexing, addr, pc)))
+        set |= entry->predictedSet();
     return set;
 }
 
+template <unsigned Words>
 void
-GroupPredictor::trainResponse(Addr addr, Addr pc, NodeId responder,
-                              bool insufficient)
+BasicGroupPredictor<Words>::trainResponse(Addr addr, Addr pc,
+                                          NodeId responder,
+                                          bool insufficient)
 {
     std::uint64_t key = indexKey(config_.indexing, addr, pc);
     if (responder == invalidNode) {
         // Memory response: only the rollover advances, giving the
         // entry gentle train-down pressure. The allocation filter
         // keeps never-shared blocks out of the table entirely.
-        GroupEntry *entry =
+        Entry *entry =
             table_.probeOrInsert(key, !config_.allocationFilter);
         if (entry)
-            entry->tickRollover(config_.numNodes);
+            entry->tickRollover();
         return;
     }
-    GroupEntry *entry = table_.probeOrInsert(
+    Entry *entry = table_.probeOrInsert(
         key, insufficient || !config_.allocationFilter);
     if (entry) {
         entry->strengthen(responder);
-        entry->tickRollover(config_.numNodes);
+        entry->tickRollover();
     }
 }
 
+template <unsigned Words>
 void
-GroupPredictor::trainExternalRequest(Addr addr, Addr pc,
-                                     RequestType type, NodeId requester)
+BasicGroupPredictor<Words>::trainExternalRequest(Addr addr, Addr pc,
+                                                 RequestType type,
+                                                 NodeId requester)
 {
     if (type == RequestType::GetShared)
         return;
-    GroupEntry &entry =
+    Entry &entry =
         table_.findOrAllocate(indexKey(config_.indexing, addr, pc));
     entry.strengthen(requester);
-    entry.tickRollover(config_.numNodes);
+    entry.tickRollover();
 }
+
+template class BasicGroupPredictor<1>;
+template class BasicGroupPredictor<2>;
+template class BasicGroupPredictor<4>;
+template class BasicGroupPredictor<8>;
 
 } // namespace dsp

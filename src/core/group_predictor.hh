@@ -24,15 +24,18 @@ namespace dsp {
 /**
  * Per-entry state: N 2-bit counters + a 5-bit rollover counter.
  *
- * The counters are packed two bits per processor into uint64 words
- * (64 bytes for the full 256-node limit, vs. 256 as a byte array)
- * so predictor table lines stay small, and decay/extract are SWAR
- * operations instead of per-node loops.
+ * The counters are packed two bits per processor into `Words` uint64
+ * words, 32 processors per word, so decay/extract are SWAR operations
+ * instead of per-node loops. The width is sized to the machine (see
+ * makePredictor): an entry is 16 B for up to 32 nodes, 24 B for 64,
+ * 40 B for 128 and 72 B for 256.
  */
-struct GroupEntry {
+template <unsigned Words>
+struct BasicGroupEntry {
     static constexpr unsigned fieldsPerWord = 32;  ///< 2 bits each
+    static constexpr NodeId nodeCapacity = Words * fieldsPerWord;
 
-    std::array<std::uint64_t, maxNodes / fieldsPerWord> packed{};
+    std::array<std::uint64_t, Words> packed{};
     std::uint8_t rollover = 0;  ///< 5-bit, wraps at 32
 
     /** Current counter value for one processor (0..3). */
@@ -59,7 +62,7 @@ struct GroupEntry {
      * counter by one (Table 3 footnote).
      */
     void
-    tickRollover(NodeId /* num_nodes */)
+    tickRollover()
     {
         rollover = static_cast<std::uint8_t>((rollover + 1) & 0x1f);
         if (rollover != 0)
@@ -77,10 +80,10 @@ struct GroupEntry {
     /** Processors currently predicted to need the block (counter > 1,
      *  i.e. the field's high bit is set). */
     DestinationSet
-    predictedSet(NodeId /* num_nodes */) const
+    predictedSet() const
     {
         DestinationSet::Words words{};
-        for (unsigned w = 0; w < packed.size(); ++w) {
+        for (unsigned w = 0; w < Words; ++w) {
             std::uint64_t high =
                 (packed[w] >> 1) & 0x5555555555555555ULL;
             while (high != 0) {
@@ -95,13 +98,23 @@ struct GroupEntry {
     }
 };
 
-class GroupPredictor : public Predictor
+/** Counter words covering maxNodes: the width that fits any machine. */
+constexpr unsigned groupFullWords =
+    maxNodes / BasicGroupEntry<1>::fieldsPerWord;
+
+static_assert(sizeof(BasicGroupEntry<1>) <= 16,
+              "a <=32-node Group entry must stay 16 bytes");
+
+/** Group predictor over entries of `Words` counter words; built for
+ *  the narrowest width covering the machine by makePredictor. */
+template <unsigned Words>
+class BasicGroupPredictor : public Predictor
 {
   public:
-    explicit GroupPredictor(const PredictorConfig &config)
-        : Predictor(config), table_(config.entries, config.ways)
-    {
-    }
+    using Entry = BasicGroupEntry<Words>;
+    static constexpr NodeId nodeCapacity = Entry::nodeCapacity;
+
+    explicit BasicGroupPredictor(const PredictorConfig &config);
 
     DestinationSet
     predict(Addr addr, Addr pc, RequestType type, NodeId requester,
@@ -121,14 +134,22 @@ class GroupPredictor : public Predictor
         return 2 * config_.numNodes + 5;
     }
 
-    PredictorTable<GroupEntry> &table() { return table_; }
+    PredictorTable<Entry> &table() { return table_; }
 
     void ckptSave(ckpt::Writer &w) const override { table_.ckptSave(w); }
     void ckptLoad(ckpt::Reader &r) override { table_.ckptLoad(r); }
 
   private:
-    PredictorTable<GroupEntry> table_;
+    PredictorTable<Entry> table_;
 };
+
+/** The full-width (256-node) Group predictor. */
+using GroupPredictor = BasicGroupPredictor<groupFullWords>;
+
+extern template class BasicGroupPredictor<1>;
+extern template class BasicGroupPredictor<2>;
+extern template class BasicGroupPredictor<4>;
+extern template class BasicGroupPredictor<8>;
 
 } // namespace dsp
 

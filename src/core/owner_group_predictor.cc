@@ -1,14 +1,27 @@
 #include "core/owner_group_predictor.hh"
 
+#include "sim/logging.hh"
+
 namespace dsp {
 
+template <unsigned Words>
+BasicOwnerGroupPredictor<Words>::BasicOwnerGroupPredictor(
+    const PredictorConfig &config)
+    : Predictor(config), table_(config.entries, config.ways)
+{
+    dsp_assert(config.numNodes <= nodeCapacity,
+               "%u nodes exceed a %u-word Owner-Group entry (%u nodes)",
+               config.numNodes, Words, nodeCapacity);
+}
+
+template <unsigned Words>
 DestinationSet
-OwnerGroupPredictor::predict(Addr addr, Addr pc, RequestType type,
-                             NodeId requester, NodeId home)
+BasicOwnerGroupPredictor<Words>::predict(Addr addr, Addr pc,
+                                         RequestType type,
+                                         NodeId requester, NodeId home)
 {
     DestinationSet set = minimalSet(requester, home);
-    OwnerGroupEntry *entry =
-        table_.find(indexKey(config_.indexing, addr, pc));
+    Entry *entry = table_.find(indexKey(config_.indexing, addr, pc));
     if (!entry)
         return set;
 
@@ -18,50 +31,58 @@ OwnerGroupPredictor::predict(Addr addr, Addr pc, RequestType type,
             set.add(entry->owner.owner);
     } else {
         // Writes must reach every sharer to avoid a retry.
-        set |= entry->group.predictedSet(config_.numNodes);
+        set |= entry->group.predictedSet();
         if (entry->owner.valid)
             set.add(entry->owner.owner);
     }
     return set;
 }
 
+template <unsigned Words>
 void
-OwnerGroupPredictor::trainResponse(Addr addr, Addr pc, NodeId responder,
-                                   bool insufficient)
+BasicOwnerGroupPredictor<Words>::trainResponse(Addr addr, Addr pc,
+                                               NodeId responder,
+                                               bool insufficient)
 {
     std::uint64_t key = indexKey(config_.indexing, addr, pc);
     if (responder == invalidNode) {
-        OwnerGroupEntry *entry =
+        Entry *entry =
             table_.probeOrInsert(key, !config_.allocationFilter);
         if (entry) {
             entry->owner.valid = false;
-            entry->group.tickRollover(config_.numNodes);
+            entry->group.tickRollover();
         }
         return;
     }
-    OwnerGroupEntry *entry = table_.probeOrInsert(
+    Entry *entry = table_.probeOrInsert(
         key, insufficient || !config_.allocationFilter);
     if (entry) {
         entry->owner.owner = responder;
         entry->owner.valid = true;
         entry->group.strengthen(responder);
-        entry->group.tickRollover(config_.numNodes);
+        entry->group.tickRollover();
     }
 }
 
+template <unsigned Words>
 void
-OwnerGroupPredictor::trainExternalRequest(Addr addr, Addr pc,
-                                          RequestType type,
-                                          NodeId requester)
+BasicOwnerGroupPredictor<Words>::trainExternalRequest(Addr addr, Addr pc,
+                                                      RequestType type,
+                                                      NodeId requester)
 {
     if (type == RequestType::GetShared)
         return;
-    OwnerGroupEntry &entry =
+    Entry &entry =
         table_.findOrAllocate(indexKey(config_.indexing, addr, pc));
     entry.owner.owner = requester;
     entry.owner.valid = true;
     entry.group.strengthen(requester);
-    entry.group.tickRollover(config_.numNodes);
+    entry.group.tickRollover();
 }
+
+template class BasicOwnerGroupPredictor<1>;
+template class BasicOwnerGroupPredictor<2>;
+template class BasicOwnerGroupPredictor<4>;
+template class BasicOwnerGroupPredictor<8>;
 
 } // namespace dsp

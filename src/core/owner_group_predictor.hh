@@ -9,7 +9,7 @@
  * sharer observes every GETX, so each can track the current owner.
  *
  * Both components are kept in one combined entry per table line
- * (~8 bytes modelled, Table 3).
+ * (~8 bytes modelled, Table 3; 24 B stored for up to 32 nodes).
  */
 
 #ifndef DSP_CORE_OWNER_GROUP_PREDICTOR_HH
@@ -23,18 +23,26 @@
 namespace dsp {
 
 /** Combined Owner + Group state for one index. */
-struct OwnerGroupEntry {
+template <unsigned Words>
+struct BasicOwnerGroupEntry {
     OwnerEntry owner;
-    GroupEntry group;
+    BasicGroupEntry<Words> group;
 };
 
-class OwnerGroupPredictor : public Predictor
+static_assert(sizeof(BasicOwnerGroupEntry<1>) <= 24,
+              "a <=32-node Owner-Group entry must stay 24 bytes");
+
+/** Owner-Group predictor over `Words` group-counter words; built for
+ *  the narrowest width covering the machine by makePredictor. */
+template <unsigned Words>
+class BasicOwnerGroupPredictor : public Predictor
 {
   public:
-    explicit OwnerGroupPredictor(const PredictorConfig &config)
-        : Predictor(config), table_(config.entries, config.ways)
-    {
-    }
+    using Entry = BasicOwnerGroupEntry<Words>;
+    static constexpr NodeId nodeCapacity =
+        BasicGroupEntry<Words>::nodeCapacity;
+
+    explicit BasicOwnerGroupPredictor(const PredictorConfig &config);
 
     DestinationSet
     predict(Addr addr, Addr pc, RequestType type, NodeId requester,
@@ -57,14 +65,22 @@ class OwnerGroupPredictor : public Predictor
         return owner_bits + 1 + 2 * config_.numNodes + 5;
     }
 
-    PredictorTable<OwnerGroupEntry> &table() { return table_; }
+    PredictorTable<Entry> &table() { return table_; }
 
     void ckptSave(ckpt::Writer &w) const override { table_.ckptSave(w); }
     void ckptLoad(ckpt::Reader &r) override { table_.ckptLoad(r); }
 
   private:
-    PredictorTable<OwnerGroupEntry> table_;
+    PredictorTable<Entry> table_;
 };
+
+/** The full-width (256-node) Owner-Group predictor. */
+using OwnerGroupPredictor = BasicOwnerGroupPredictor<groupFullWords>;
+
+extern template class BasicOwnerGroupPredictor<1>;
+extern template class BasicOwnerGroupPredictor<2>;
+extern template class BasicOwnerGroupPredictor<4>;
+extern template class BasicOwnerGroupPredictor<8>;
 
 } // namespace dsp
 

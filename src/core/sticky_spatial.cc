@@ -1,46 +1,81 @@
 #include "core/sticky_spatial.hh"
 
+#include "sim/logging.hh"
+
 namespace dsp {
 
-StickySpatialPredictor::StickySpatialPredictor(
+template <unsigned Words>
+BasicStickySpatialPredictor<Words>::BasicStickySpatialPredictor(
     const PredictorConfig &config, unsigned spatial_degree)
     : Predictor(config), spatialDegree_(spatial_degree)
 {
+    dsp_assert(config.numNodes <= nodeCapacity,
+               "%u nodes exceed a %u-word Sticky-Spatial mask (%u nodes)",
+               config.numNodes, Words, nodeCapacity);
     if (config.entries > 0)
         finite_.resize(config.entries);
 }
 
-std::uint64_t
-StickySpatialPredictor::maskAt(std::uint64_t key) const
+template <unsigned Words>
+typename BasicStickySpatialPredictor<Words>::Mask
+BasicStickySpatialPredictor<Words>::maskOf(const DestinationSet &set)
 {
+    const DestinationSet::Words &words = set.words();
+    for (unsigned w = Words; w < words.size(); ++w)
+        dsp_assert(words[w] == 0, "set %s exceeds a %u-word mask",
+                   set.toString().c_str(), Words);
+    Mask mask;
+    for (unsigned w = 0; w < Words; ++w)
+        mask[w] = words[w];
+    return mask;
+}
+
+template <unsigned Words>
+void
+BasicStickySpatialPredictor<Words>::orMaskAt(
+    std::uint64_t key, DestinationSet::Words &out) const
+{
+    const Mask *mask = nullptr;
     if (!finite_.empty()) {
         const Entry &entry = finite_[key % finite_.size()];
         // Prediction deliberately ignores the tag (Section 3.5).
-        return entry.valid ? entry.mask : 0;
+        if (entry.valid)
+            mask = &entry.mask;
+    } else if (auto it = unbounded_.find(key); it != unbounded_.end()) {
+        mask = &it->second;
     }
-    auto it = unbounded_.find(key);
-    return it == unbounded_.end() ? 0 : it->second;
+    if (mask)
+        for (unsigned w = 0; w < Words; ++w)
+            out[w] |= (*mask)[w];
 }
 
+template <unsigned Words>
 DestinationSet
-StickySpatialPredictor::predict(Addr addr, Addr pc,
-                                RequestType /* type */,
-                                NodeId requester, NodeId home)
+BasicStickySpatialPredictor<Words>::predict(Addr addr, Addr pc,
+                                            RequestType /* type */,
+                                            NodeId requester,
+                                            NodeId home)
 {
     std::uint64_t key = indexKey(config_.indexing, addr, pc);
-    std::uint64_t mask = maskAt(key);
+    DestinationSet::Words words{};
+    orMaskAt(key, words);
     for (unsigned d = 1; d <= spatialDegree_; ++d) {
-        mask |= maskAt(key + d);
-        mask |= maskAt(key - d);  // unsigned wrap is harmless here
+        orMaskAt(key + d, words);
+        orMaskAt(key - d, words);  // unsigned wrap is harmless here
     }
-    return DestinationSet::fromMask(mask)
+    return DestinationSet::fromWords(words)
          | minimalSet(requester, home);
 }
 
+template <unsigned Words>
 void
-StickySpatialPredictor::trainUp(std::uint64_t key, std::uint64_t bits)
+BasicStickySpatialPredictor<Words>::trainUp(std::uint64_t key,
+                                            const Mask &bits)
 {
-    if (bits == 0)
+    std::uint64_t any = 0;
+    for (std::uint64_t word : bits)
+        any |= word;
+    if (any == 0)
         return;
     if (!finite_.empty()) {
         Entry &entry = finite_[key % finite_.size()];
@@ -50,43 +85,49 @@ StickySpatialPredictor::trainUp(std::uint64_t key, std::uint64_t bits)
             entry.tag = key;
             entry.mask = bits;
         } else {
-            entry.mask |= bits;
+            for (unsigned w = 0; w < Words; ++w)
+                entry.mask[w] |= bits[w];
         }
         return;
     }
-    unbounded_[key] |= bits;
+    Mask &mask = unbounded_[key];
+    for (unsigned w = 0; w < Words; ++w)
+        mask[w] |= bits[w];
 }
 
+template <unsigned Words>
 void
-StickySpatialPredictor::trainResponse(Addr addr, Addr pc,
-                                      NodeId responder,
-                                      bool /* insufficient */)
+BasicStickySpatialPredictor<Words>::trainResponse(Addr addr, Addr pc,
+                                                  NodeId responder,
+                                                  bool /* insufficient */)
 {
     if (responder == invalidNode)
         return;  // sticky: memory responses teach nothing
     trainUp(indexKey(config_.indexing, addr, pc),
-            DestinationSet::of(responder).mask());
+            maskOf(DestinationSet::of(responder)));
 }
 
+template <unsigned Words>
 void
-StickySpatialPredictor::trainExternalRequest(Addr /* addr */,
-                                             Addr /* pc */,
-                                             RequestType /* type */,
-                                             NodeId /* requester */)
+BasicStickySpatialPredictor<Words>::trainExternalRequest(
+    Addr /* addr */, Addr /* pc */, RequestType /* type */,
+    NodeId /* requester */)
 {
     // Sticky-Spatial trains only on responses and directory retries
     // (Section 3.5); external requests are not a training cue.
 }
 
+template <unsigned Words>
 void
-StickySpatialPredictor::trainRetry(Addr addr, Addr pc,
-                                   DestinationSet true_required)
+BasicStickySpatialPredictor<Words>::trainRetry(
+    Addr addr, Addr pc, DestinationSet true_required)
 {
-    trainUp(indexKey(config_.indexing, addr, pc), true_required.mask());
+    trainUp(indexKey(config_.indexing, addr, pc), maskOf(true_required));
 }
 
+template <unsigned Words>
 std::size_t
-StickySpatialPredictor::entryCount() const
+BasicStickySpatialPredictor<Words>::entryCount() const
 {
     if (!finite_.empty()) {
         std::size_t n = 0;
@@ -96,5 +137,9 @@ StickySpatialPredictor::entryCount() const
     }
     return unbounded_.size();
 }
+
+template class BasicStickySpatialPredictor<1>;
+template class BasicStickySpatialPredictor<2>;
+template class BasicStickySpatialPredictor<4>;
 
 } // namespace dsp

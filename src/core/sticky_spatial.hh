@@ -17,6 +17,7 @@
 #ifndef DSP_CORE_STICKY_SPATIAL_HH
 #define DSP_CORE_STICKY_SPATIAL_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -26,17 +27,26 @@
 
 namespace dsp {
 
-class StickySpatialPredictor : public Predictor
+/**
+ * Sticky-Spatial over `Words`-word node masks (64 nodes per word);
+ * built for the narrowest width covering the machine by
+ * makeStickySpatial.
+ */
+template <unsigned Words>
+class BasicStickySpatialPredictor : public Predictor
 {
   public:
+    using Mask = std::array<std::uint64_t, Words>;
+    static constexpr NodeId nodeCapacity = Words * 64;
+
     /**
      * @param config common configuration; Block64 indexing is the
      *        historically faithful choice (set by the factory)
      * @param spatial_degree neighbours ORed on each side (k; the paper
      *        evaluates k = 1)
      */
-    StickySpatialPredictor(const PredictorConfig &config,
-                           unsigned spatial_degree = 1);
+    BasicStickySpatialPredictor(const PredictorConfig &config,
+                                unsigned spatial_degree = 1);
 
     DestinationSet
     predict(Addr addr, Addr pc, RequestType type, NodeId requester,
@@ -70,20 +80,33 @@ class StickySpatialPredictor : public Predictor
   private:
     struct Entry {
         std::uint64_t tag = 0;
-        std::uint64_t mask = 0;
+        Mask mask{};
         bool valid = false;
     };
 
-    /** OR `bits` into the entry for `key`, resetting on tag miss. */
-    void trainUp(std::uint64_t key, std::uint64_t bits);
+    /** The low `Words` words of `set`; asserts it holds no node
+     *  beyond them. */
+    static Mask maskOf(const DestinationSet &set);
 
-    /** Mask stored at table slot for key (0 if none). */
-    std::uint64_t maskAt(std::uint64_t key) const;
+    /** OR `bits` into the entry for `key`, resetting on tag miss. */
+    void trainUp(std::uint64_t key, const Mask &bits);
+
+    /** OR the mask stored at the table slot for key (if any) into
+     *  `out`. */
+    void orMaskAt(std::uint64_t key, DestinationSet::Words &out) const;
 
     unsigned spatialDegree_;
-    std::vector<Entry> finite_;                        ///< direct-mapped
-    FlatMap<std::uint64_t, std::uint64_t> unbounded_;
+    std::vector<Entry> finite_;               ///< direct-mapped
+    FlatMap<std::uint64_t, Mask> unbounded_;
 };
+
+/** The full-width (256-node) Sticky-Spatial predictor. */
+using StickySpatialPredictor =
+    BasicStickySpatialPredictor<DestinationSet::wordCount>;
+
+extern template class BasicStickySpatialPredictor<1>;
+extern template class BasicStickySpatialPredictor<2>;
+extern template class BasicStickySpatialPredictor<4>;
 
 } // namespace dsp
 

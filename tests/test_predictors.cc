@@ -1,11 +1,18 @@
 /**
  * @file
  * Table 3 compliance tests for every destination-set predictor policy,
- * plus indexing, allocation-filter, capacity, and factory tests.
+ * plus indexing, allocation-filter, capacity, and factory tests, the
+ * >64-node guards, machine-sized entry widths and predictor checkpoint
+ * round trips.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
+#include "checkpoint/checkpoint.hh"
 #include "core/baseline_predictors.hh"
 #include "core/broadcast_if_shared.hh"
 #include "core/factory.hh"
@@ -323,18 +330,13 @@ TEST(OwnerGroup, MemoryResponseClearsOwnerOnly)
 // ------------------------------------------------------- 256-node machines
 
 /**
- * Strengthen nodes 70 and 255 -- both outside the low 64-bit word --
- * on a 256-node machine and check the group counters predict them
- * there, not aliased onto node % 64.
+ * Train nodes 70 and 255 -- both outside the low 64-bit word -- on a
+ * 256-node machine and check the predictor predicts them there, not
+ * aliased onto node % 64, and nothing else beyond the minimal set.
  */
-template <typename Pred>
 void
-expectGroupPredictsHighNodes()
+expectPredictsHighNodes(Predictor &pred)
 {
-    constexpr NodeId nodes = 256;
-    PredictorConfig c = config();
-    c.numNodes = nodes;
-    Pred pred(c);
     for (NodeId n : {70, 255, 70, 255})
         pred.trainResponse(kAddr, kPc, n, true);
     // A memory response clears Owner-Group's owner pointer, so the
@@ -348,21 +350,238 @@ expectGroupPredictsHighNodes()
         EXPECT_TRUE(set.contains(n)) << n;
         EXPECT_FALSE(set.contains(n % 64)) << n % 64;
     }
-    set.forEach([&](NodeId n) { EXPECT_LT(n, nodes); });
+    set.forEach([&](NodeId n) { EXPECT_LT(n, 256u); });
     DestinationSet expected = minimal();
     expected.add(70);
     expected.add(255);
     EXPECT_EQ(set, expected);
 }
 
+PredictorConfig
+config256(std::size_t entries = 0,
+          IndexingMode mode = IndexingMode::Macroblock1024)
+{
+    PredictorConfig c = config(entries, mode);
+    c.numNodes = 256;
+    return c;
+}
+
 TEST(Group, PredictsNodesAbove63On256Nodes)
 {
-    expectGroupPredictsHighNodes<GroupPredictor>();
+    GroupPredictor pred(config256());
+    expectPredictsHighNodes(pred);
 }
 
 TEST(OwnerGroup, PredictsNodesAbove63On256Nodes)
 {
-    expectGroupPredictsHighNodes<OwnerGroupPredictor>();
+    OwnerGroupPredictor pred(config256());
+    expectPredictsHighNodes(pred);
+}
+
+TEST(StickySpatial, PredictsNodesAbove63On256Nodes)
+{
+    for (std::size_t entries : {std::size_t{0}, std::size_t{64}}) {
+        SCOPED_TRACE(entries);
+        auto pred =
+            makePredictor(PredictorPolicy::StickySpatial,
+                          config256(entries, IndexingMode::Block64));
+        expectPredictsHighNodes(*pred);
+    }
+}
+
+/**
+ * Every per-node policy, built through the factory on machines just
+ * past each entry-width step and at the 256-node limit, can predict
+ * the last node and node 70, and never predicts a node the machine
+ * does not have.
+ */
+TEST(LargeMachines, EveryPolicyPredictsHighNodesAndOnlyRealOnes)
+{
+    for (PredictorPolicy policy :
+         {PredictorPolicy::Owner, PredictorPolicy::BroadcastIfShared,
+          PredictorPolicy::Group, PredictorPolicy::OwnerGroup,
+          PredictorPolicy::StickySpatial}) {
+        for (NodeId n : {65u, 129u, 256u}) {
+            SCOPED_TRACE(toString(policy) + " @ " + std::to_string(n));
+            PredictorConfig c = config(8192);
+            c.numNodes = n;
+            auto pred = makePredictor(policy, c);
+            auto expectOnlyRealNodes = [&](const DestinationSet &set) {
+                set.forEach([&](NodeId node) { EXPECT_LT(node, n); });
+            };
+            // Node 70 sits in the second word; a 65-node machine has
+            // no node 70, so there the second target is node 63.
+            DestinationSet both;
+            for (NodeId target : {n - 1, std::min<NodeId>(70, n - 2)}) {
+                both.add(target);
+                for (int i = 0; i < 2; ++i) {
+                    pred->trainResponse(kAddr, kPc, target, true);
+                    pred->trainExternalRequest(
+                        kAddr, kPc, RequestType::GetExclusive, target);
+                }
+                DestinationSet set = pred->predict(
+                    kAddr, kPc, RequestType::GetExclusive, kReq, kHome);
+                EXPECT_TRUE(set.contains(target))
+                    << target << " missing from " << set.toString();
+                expectOnlyRealNodes(set);
+            }
+            pred->trainRetry(kAddr, kPc, both);
+            for (RequestType type :
+                 {RequestType::GetShared, RequestType::GetExclusive})
+                expectOnlyRealNodes(
+                    pred->predict(kAddr, kPc, type, kReq, kHome));
+        }
+    }
+}
+
+// ------------------------------------------------ machine-sized entries
+
+/** Word count of the Group counters `pred` was built with (0 if it is
+ *  no Group or Owner-Group predictor). */
+template <template <unsigned> class Pred>
+unsigned
+groupWordsOf(const Predictor &pred)
+{
+    if (dynamic_cast<const Pred<1> *>(&pred))
+        return 1;
+    if (dynamic_cast<const Pred<2> *>(&pred))
+        return 2;
+    if (dynamic_cast<const Pred<4> *>(&pred))
+        return 4;
+    if (dynamic_cast<const Pred<8> *>(&pred))
+        return 8;
+    return 0;
+}
+
+/**
+ * The factory's narrow Group and Owner-Group predictors and their
+ * full-width (256-node) twins see one seeded random stream of
+ * training and prediction calls and must agree on every prediction.
+ * A quarter of the events hit one hot key, so its rollover wraps at
+ * least twice; the rest spread over 512 keys.
+ */
+TEST(MachineSizedEntries, NarrowWidthPredictsLikeFullWidth)
+{
+    for (NodeId n : {2u, 16u, 32u, 33u, 64u, 65u, 128u, 129u, 256u}) {
+        unsigned words = n <= 32 ? 1 : n <= 64 ? 2 : n <= 128 ? 4 : 8;
+        for (std::size_t entries : {std::size_t{8192}, std::size_t{0}}) {
+            PredictorConfig c = config(entries);
+            c.numNodes = n;
+            c.ways = 4;
+            auto group = makePredictor(PredictorPolicy::Group, c);
+            auto owner_group =
+                makePredictor(PredictorPolicy::OwnerGroup, c);
+            EXPECT_EQ(groupWordsOf<BasicGroupPredictor>(*group), words);
+            EXPECT_EQ(groupWordsOf<BasicOwnerGroupPredictor>(*owner_group),
+                      words);
+            GroupPredictor group_full(c);
+            OwnerGroupPredictor owner_group_full(c);
+            std::pair<Predictor *, Predictor *> pairs[] = {
+                {group.get(), &group_full},
+                {owner_group.get(), &owner_group_full}};
+
+            Rng rng(1000 + n);
+            Addr hot = 0x40000;
+            unsigned hot_writes = 0;
+            for (int i = 0; i < 4000; ++i) {
+                bool is_hot = rng.uniformInt(4) == 0;
+                Addr addr = is_hot ? hot : rng.uniformInt(512) * 1024;
+                NodeId node = static_cast<NodeId>(rng.uniformInt(n));
+                RequestType type = rng.chance(0.5)
+                                       ? RequestType::GetExclusive
+                                       : RequestType::GetShared;
+                unsigned op = static_cast<unsigned>(rng.uniformInt(4));
+                bool insufficient = rng.chance(0.5);
+                NodeId home = static_cast<NodeId>(rng.uniformInt(n));
+                // An observed GETX always ticks the rollover.
+                hot_writes += is_hot && op == 2 &&
+                              type == RequestType::GetExclusive;
+                for (auto [narrow, full] : pairs) {
+                    switch (op) {
+                      case 0:
+                        narrow->trainResponse(addr, kPc, node,
+                                              insufficient);
+                        full->trainResponse(addr, kPc, node,
+                                            insufficient);
+                        break;
+                      case 1:
+                        narrow->trainResponse(addr, kPc, invalidNode,
+                                              insufficient);
+                        full->trainResponse(addr, kPc, invalidNode,
+                                            insufficient);
+                        break;
+                      case 2:
+                        narrow->trainExternalRequest(addr, kPc, type,
+                                                     node);
+                        full->trainExternalRequest(addr, kPc, type,
+                                                   node);
+                        break;
+                      default:
+                        break;
+                    }
+                    DestinationSet want =
+                        full->predict(addr, kPc, type, node, home);
+                    ASSERT_EQ(narrow->predict(addr, kPc, type, node,
+                                              home),
+                              want)
+                        << narrow->name() << " @ " << n << " nodes, "
+                        << entries << " entries, step " << i;
+                    ASSERT_EQ(narrow->entryCount(), full->entryCount());
+                }
+            }
+            EXPECT_GE(hot_writes, 64u);
+        }
+    }
+}
+
+/**
+ * A checkpointed Owner-Group predictor -- its table is saved as raw
+ * entry bytes, so the entry width is part of the format -- restores
+ * into a fresh predictor of the same machine size that predicts
+ * exactly like the original.
+ */
+void
+expectCheckpointRoundTrip(NodeId n, std::size_t entries)
+{
+    PredictorConfig c = config(entries);
+    c.numNodes = n;
+    auto original = makePredictor(PredictorPolicy::OwnerGroup, c);
+    Rng rng(n);
+    auto randomAddr = [&] { return rng.uniformInt(256) * 1024; };
+    for (int i = 0; i < 2000; ++i) {
+        NodeId node = static_cast<NodeId>(rng.uniformInt(n));
+        if (rng.chance(0.5))
+            original->trainResponse(randomAddr(), kPc, node, true);
+        else
+            original->trainExternalRequest(
+                randomAddr(), kPc, RequestType::GetExclusive, node);
+    }
+    ckpt::Writer w;
+    original->ckptSave(w);
+    auto restored = makePredictor(PredictorPolicy::OwnerGroup, c);
+    ckpt::Reader r(w.buffer());
+    restored->ckptLoad(r);
+
+    ASSERT_EQ(restored->entryCount(), original->entryCount());
+    for (Addr addr = 0; addr < 256 * 1024; addr += 1024) {
+        for (RequestType type :
+             {RequestType::GetShared, RequestType::GetExclusive}) {
+            ASSERT_EQ(restored->predict(addr, kPc, type, kReq, kHome),
+                      original->predict(addr, kPc, type, kReq, kHome))
+                << addr;
+        }
+    }
+}
+
+TEST(PredictorCheckpoint, OwnerGroupRoundTrip16NodesFiniteTable)
+{
+    expectCheckpointRoundTrip(16, 8192);
+}
+
+TEST(PredictorCheckpoint, OwnerGroupRoundTrip256Nodes)
+{
+    expectCheckpointRoundTrip(256, 8192);
+    expectCheckpointRoundTrip(256, 0);
 }
 
 // ---------------------------------------------------------- StickySpatial
