@@ -9,7 +9,7 @@ TraceCollector::TraceCollector(Workload &workload,
     : workload_(workload),
       numNodes_(workload.numNodes()),
       tracker_(workload.numNodes()),
-      icount_(workload.numNodes(), 0)
+      order_(workload.numNodes())
 {
     nodes_.reserve(numNodes_);
     for (NodeId n = 0; n < numNodes_; ++n)
@@ -26,15 +26,6 @@ void
 TraceCollector::addMissObserver(MissObserver observer)
 {
     missObservers_.push_back(std::move(observer));
-}
-
-std::uint64_t
-TraceCollector::totalInstructions() const
-{
-    std::uint64_t total = 0;
-    for (std::uint64_t count : icount_)
-        total += count;
-    return total;
 }
 
 void
@@ -93,14 +84,9 @@ TraceCollector::handleMiss(NodeId p, const MemRef &ref, bool is_write)
 void
 TraceCollector::step()
 {
-    // The least-advanced processor (by instruction count) goes next.
-    NodeId p = 0;
-    for (NodeId n = 1; n < numNodes_; ++n)
-        if (icount_[n] < icount_[p])
-            p = n;
-
+    NodeId p = order_.next();
     MemRef ref = workload_.next(p);
-    icount_[p] += ref.work + 1;
+    order_.advance(p, ref.work + 1);
     ++references_;
 
     for (const RefObserver &observer : refObservers_)

@@ -6,7 +6,8 @@
  *
  * Processor interleaving is instruction-count driven: at every step
  * the processor with the fewest executed instructions issues the next
- * reference, approximating lockstep parallel execution.
+ * reference (workload/issue_order.hh), approximating lockstep
+ * parallel execution.
  */
 
 #ifndef DSP_ANALYSIS_TRACE_COLLECTOR_HH
@@ -19,6 +20,7 @@
 #include "coherence/sharing_tracker.hh"
 #include "mem/node_caches.hh"
 #include "trace/trace.hh"
+#include "workload/issue_order.hh"
 #include "workload/workload.hh"
 
 namespace dsp {
@@ -66,7 +68,7 @@ class TraceCollector
     Trace collect(std::uint64_t warmup, std::uint64_t measured);
 
     /** Total instructions executed so far (all processors). */
-    std::uint64_t totalInstructions() const;
+    std::uint64_t totalInstructions() const { return order_.total(); }
 
     /** Total L2 misses so far. */
     std::uint64_t totalMisses() const { return misses_; }
@@ -88,7 +90,7 @@ class TraceCollector
     NodeId numNodes_;
     SharingTracker tracker_;
     std::vector<NodeCaches> nodes_;
-    std::vector<std::uint64_t> icount_;
+    IssueOrder order_;
 
     std::vector<RefObserver> refObservers_;
     std::vector<MissObserver> missObservers_;

@@ -152,8 +152,8 @@ struct MessagePoolStats {
  * kernel one payload's deliveries execute on several shard threads,
  * so the refcount is atomic and slots are recycled through per-thread
  * free lists (a slot may be released on a different thread than the
- * one whose slab produced it; pools are leaked so slabs outlive every
- * thread).
+ * one whose slab produced it; pools are never freed, so slabs
+ * outlive every thread, and pass to a new thread when theirs exits).
  */
 class MessageRef
 {
@@ -251,7 +251,8 @@ class MessageRef
         void *home = nullptr;
     };
 
-    struct Pool {
+    /** Cache-line aligned for the same reason as EventPool. */
+    struct alignas(64) Pool {
         MessagePoolStats stats;
         SlabArena<Slot> arena{&stats.slabAllocations,
                               &stats.slabBytes};
@@ -261,7 +262,8 @@ class MessageRef
      * This thread's pool. Immortal and registered (see
      * sim/pool_registry.hh) so slabs survive shard-thread exit (slots
      * migrate between threads) and stats() can aggregate after
-     * workers are joined.
+     * workers are joined; recycled to the next thread that needs one
+     * when its owner exits.
      */
     static Pool &
     localPool()
@@ -271,8 +273,7 @@ class MessageRef
         static thread_local Pool *pool;
         Pool *p = pool;
         if (__builtin_expect(p == nullptr, false)) {
-            p = new Pool;
-            PoolRegistry<Pool>::add(p);
+            p = PoolRegistry<Pool>::claim<Pool>();
             pool = p;
         }
         return *p;

@@ -150,7 +150,8 @@ EventPoolStats eventPoolStats();
  * Pools are per thread (see EventPool::instance()) and are immortal
  * (see sim/pool_registry.hh): a pool's slabs must outlive its owning
  * thread because pooled events allocated on one shard thread may be
- * executed -- and their slots recycled -- on another.
+ * executed -- and their slots recycled -- on another. When the owning
+ * thread exits, its pools pass to the next thread that needs them.
  */
 class EventPoolBase
 {
@@ -158,7 +159,7 @@ class EventPoolBase
     const EventPoolStats &stats() const { return stats_; }
 
   protected:
-    EventPoolBase() { PoolRegistry<EventPoolBase>::add(this); }
+    EventPoolBase() = default;
     ~EventPoolBase() = default;
 
     EventPoolStats stats_;
@@ -198,11 +199,14 @@ eventPoolStats()
  * acquired at the sender, executed at the destination) goes through
  * the shared SlabArena machinery (sim/slab_pool.hh), which bounds
  * slab memory by the peak number of live events, not the event
- * count. Pool objects (and their slabs) are deliberately leaked (see
- * sim/pool_registry.hh).
+ * count. Pool objects (and their slabs) are never freed; a thread
+ * that exits retires its pools and later threads adopt them (see
+ * sim/pool_registry.hh), so that bound holds across Systems too.
+ * Cache-line aligned: an adopted pool may sit next to one that
+ * another thread now owns, and the two must not share a line.
  */
 template <typename T>
-class EventPool : public EventPoolBase
+class alignas(64) EventPool : public EventPoolBase
 {
     static_assert(std::is_base_of_v<Event, T>,
                   "EventPool manages Event subclasses");
@@ -216,7 +220,7 @@ class EventPool : public EventPoolBase
         static thread_local EventPool *pool;
         EventPool *p = pool;
         if (__builtin_expect(p == nullptr, false)) {
-            p = new EventPool;
+            p = PoolRegistry<EventPoolBase>::claim<EventPool>();
             pool = p;
         }
         return *p;
@@ -244,6 +248,8 @@ class EventPool : public EventPoolBase
     }
 
   private:
+    friend class PoolRegistry<EventPoolBase>;
+
     struct Slot {
         /** Object storage; first member so T* == Slot*. */
         alignas(T) unsigned char storage[sizeof(T)];

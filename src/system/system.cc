@@ -11,6 +11,7 @@
 #include "sim/logging.hh"
 #include "sim/panic_hooks.hh"
 #include "verify/oracle.hh"
+#include "workload/issue_order.hh"
 
 namespace dsp {
 
@@ -765,19 +766,14 @@ System::runUntilPhaseDone(const char *phase)
 void
 System::functionalWarmup(std::uint64_t misses)
 {
-    std::vector<std::uint64_t> icount(params_.nodes, 0);
+    // Same interleaving as the trace collector.
+    IssueOrder order(params_.nodes);
     std::uint64_t done = 0;
 
     while (done < misses) {
-        // Least-advanced processor issues next (same interleaving as
-        // the trace collector).
-        NodeId p = 0;
-        for (NodeId n = 1; n < params_.nodes; ++n)
-            if (icount[n] < icount[p])
-                p = n;
-
+        NodeId p = order.next();
         MemRef ref = workload_.next(p);
-        icount[p] += ref.work + 1;
+        order.advance(p, ref.work + 1);
 
         NodeCaches &caches = cacheCtrls_[p]->caches();
         NodeCaches::StagedAccess staged =

@@ -392,6 +392,23 @@ TEST(ShardedKernel, SystemRunLeavesNoLiveEvents)
     EXPECT_EQ(MessageRef::stats().live(), msg_live_before);
 }
 
+TEST(ShardedKernel, SequentialSystemsReuseWorkerPools)
+{
+    // Every K>1 System starts fresh worker threads. When they exit,
+    // their event and message pools must pass to the next System's
+    // workers: slab memory is bounded by the peak number of
+    // concurrent threads, not by the number of Systems a process
+    // runs. The first two Systems let every pool reach its size.
+    runMini(4, ProtocolKind::Multicast);
+    runMini(4, ProtocolKind::Multicast);
+    const std::uint64_t event_bytes = eventPoolStats().slabBytes;
+    const std::uint64_t msg_bytes = MessageRef::stats().slabBytes;
+    runMini(4, ProtocolKind::Multicast);
+    runMini(4, ProtocolKind::Multicast);
+    EXPECT_EQ(eventPoolStats().slabBytes, event_bytes);
+    EXPECT_EQ(MessageRef::stats().slabBytes, msg_bytes);
+}
+
 TEST(ShardedKernel, ProgressWatchdogPanicsOnStalledCrossings)
 {
     // injectStallForTest freezes the watchdog's executed-events
