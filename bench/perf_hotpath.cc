@@ -97,7 +97,6 @@ struct HotpathOptions {
     bool oracle = false;
     verify::Mutation mutate = verify::Mutation::None;
     std::uint64_t stopAt = 0;
-    bool noFuse = false;  ///< A/B knob: disable fused hop chains
     std::uint64_t ckptEvery = 0;
     std::string ckptDir;
     unsigned ckptKeep = 0;
@@ -147,8 +146,6 @@ parseArgs(int argc, char **argv)
             opt.outExplicit = true;
         } else if (arg == "--config") {
             opt.onlyConfig = next();
-        } else if (arg == "--no-fuse") {
-            opt.noFuse = true;
         } else if (arg == "--oracle") {
             opt.oracle = true;
         } else if (arg == "--mutate") {
@@ -174,7 +171,7 @@ parseArgs(int argc, char **argv)
                          "options: --measure N --warmup N --workload W "
                          "--threads N --hub-shard --nodes N --hubs N "
                          "--cluster N --switch-ns F --seed S "
-                         "--out FILE --config NAME --no-fuse "
+                         "--out FILE --config NAME "
                          "--repeat N "
                          "--oracle --mutate M --stop-at T "
                          "--checkpoint-every N --checkpoint-dir D "
@@ -270,7 +267,6 @@ runConfig(const HotpathOptions &opt, const std::string &name,
         params.crossbar.topology.hubs = opt.hubs;
         params.crossbar.topology.cluster_size = opt.cluster;
         params.crossbar.topology.switch_link_ns = opt.switchNs;
-        params.crossbar.fuse_chains = !opt.noFuse;
         params.functionalWarmupMisses = opt.warmupMisses;
         params.warmupInstrPerCpu = opt.measureInstr / 10;
         params.measureInstrPerCpu = opt.measureInstr;
@@ -426,9 +422,9 @@ writeJson(const HotpathOptions &opt,
                      r.stats.touchedWordsPerAccess());
         std::fprintf(f, "      \"barriers_per_window\": %.4f,\n",
                      r.barriersPerWindow());
-        // Host performance counter, not a figure statistic: a fused
-        // chain advance can be refused near a shard-window boundary,
-        // so it is partition-dependent and stays out of the
+        // Host performance counter, not a figure statistic: each
+        // shard's run-next buffer serves a different share of the
+        // hops, so it is partition-dependent and stays out of the
         // determinism / repeat-divergence comparisons.
         std::fprintf(f, "      \"calendar_ops_per_miss\": %.4f,\n",
                      r.stats.calendarOpsPerMiss());

@@ -242,9 +242,10 @@ if [[ -f "$BASELINE" ]]; then
     fi
 fi
 
-# Hot-path counter guard. calendar_ops_per_miss pins the
-# chain-fusion win: a >15% rise vs the committed baseline on a
-# multicast config means fusion quietly stopped firing. The comparison
+# Hot-path counter guard. calendar_ops_per_miss pins the run-next
+# buffer's win: a >15% rise vs the committed baseline on a multicast
+# config means the buffer quietly stopped serving the sequential hops
+# (request -> order -> deliver -> supply). The comparison
 # is skipped when the baseline predates the field (first run after it
 # landed). It is a host performance counter, deliberately absent from
 # the determinism extraction below (it is partition-dependent by
@@ -282,13 +283,13 @@ then
             exit status
         }'; then
         echo "check.sh: calendar_ops_per_miss regression vs committed" \
-             "BENCH_hotpath.json -- chain fusion lost ground (rerun" \
+             "BENCH_hotpath.json -- the run-next buffer lost ground (rerun" \
              "with --allow-perf-regression if intentional)" >&2
         exit 1
     fi
 else
     echo "check.sh: baseline lacks calendar_ops_per_miss -- skipping" \
-         "the chain-fusion guard (first run after the field landed)"
+         "the calendar guard (first run after the field landed)"
 fi
 
 # Sharded-kernel determinism cross-check: a K-shard run must emit

@@ -35,7 +35,7 @@ namespace ckpt {
  *  change to any subsystem's save layout bumps the version; restore
  *  refuses a version mismatch instead of misreading old bytes. */
 constexpr std::uint32_t fileMagic = 0x43505344u;
-constexpr std::uint32_t formatVersion = 4;
+constexpr std::uint32_t formatVersion = 5;
 
 /**
  * Append-only byte-buffer serializer. All integers are written in
@@ -233,7 +233,6 @@ enum class EventTag : std::uint8_t {
     SysEvict,         ///< System: eviction notice in flight to its hub
     XbarOrder,        ///< crossbar: message at/leaving an ordering point
     XbarDeliver,      ///< crossbar: (payload, destination) delivery hop
-    XbarChain,        ///< crossbar: fused same-tick delivery chain
     CacheIssue,       ///< cache controller: request issue after MSHR fill
     MemDirContinue,   ///< memory controller: directory-access continuation
     MemRetry,         ///< memory controller: home-reissued retry

@@ -50,15 +50,6 @@ struct CrossbarParams {
     double traversal_ns = 50.0;      ///< uncontended one-way latency
     double link_bytes_per_ns = 10.0; ///< 10 GB/s endpoint links
     double ordering_gap_ns = 0.5;    ///< min spacing at an order point
-    /**
-     * Fuse hop chains whose schedule is fully determined at send time
-     * (fan-out deliveries sharing one tick, contended order-slot and
-     * ingress refires) into single pooled events that execute the
-     * later hops inline, instead of one calendar insert+pop per hop.
-     * Bit-identical figure statistics either way (pinned by the chain
-     * -fusion suite); off is the reference path.
-     */
-    bool fuse_chains = true;
     /** Cluster geometry, per-level legs, and the ordering-hub count;
      *  defaults to the flat single-hub crossbar. */
     TopologyParams topology;
@@ -162,18 +153,6 @@ class OrderedCrossbar
     Event &ckptRestoreOrder(ckpt::Reader &r);
     Event &ckptRestoreDeliver(ckpt::Reader &r);
 
-    /**
-     * Reconstruct an in-flight fused hop chain by re-splitting it:
-     * the remaining hops become plain deliveries carrying their
-     * original (when, key, domain) coordinates -- hops after the
-     * first are scheduled through `kernel` here, the first is
-     * returned for the caller's pending-event loop. Splitting keeps
-     * snapshots portable across shard counts (a chain requires all
-     * its hops on one shard queue, which a different K need not
-     * honor); later fan-outs simply re-fuse.
-     */
-    Event &ckptRestoreChain(ckpt::Reader &r, ShardedKernel &kernel);
-
   private:
     /** Pooled event: one message reaching (or, once serialized,
      *  leaving) its ordering point. */
@@ -183,11 +162,6 @@ class OrderedCrossbar
      *  first firing books the ingress link, a contended delivery
      *  refires at the link-free tick. */
     struct DeliverEvent;
-
-    /** Pooled event: one fan-out's deliveries bound for one shard
-     *  queue, all at one tick; later hops execute inline via
-     *  EventQueue::chainAdvance with their pre-assigned keys. */
-    struct ChainEvent;
 
     static constexpr std::size_t numKinds = 7;
 
@@ -227,38 +201,17 @@ class OrderedCrossbar
      *  destinations; all of them share the one pooled payload. */
     void orderAndFanOut(const MessageRef &msg, Tick order);
 
-    /** The fused fan-out: one ChainEvent per destination shard queue
-     *  (singleton groups stay plain deliveries), with per-hop keys
-     *  allocated in destination order so the key stream is identical
-     *  to the unfused fan-out's. */
-    void fanOutFused(const MessageRef &msg, Tick deliver);
-
     /** First arrival of a delivery at `dest`: count it, book the
      *  ingress link, and either fire the handler or refire at the
      *  contended tick. */
     void arriveAtDest(const MessageRef &msg, NodeId dest, Tick now);
 
-    /** Arrival bookkeeping shared by all delivery shapes: count the
-     *  traffic, book the ingress link, and deliver if the link is
-     *  free. Returns maxTick when delivered, else the contended start
-     *  tick the caller must refire at (the link is already booked). */
-    Tick ingressArrival(const MessageRef &msg, NodeId dest, Tick now);
-
     void scheduleDelivery(const MessageRef &msg, NodeId dest,
                           Tick when, bool booked);
-
-    /** Schedule an unbooked delivery at a pre-allocated key (fused
-     *  fan-out singletons and chain-capacity spill). */
-    void scheduleKeyedDelivery(const MessageRef &msg, NodeId dest,
-                               Tick when, std::uint64_t key);
-
-    /** Insert a completed chain at its first hop's coordinates. */
-    void scheduleChain(ChainEvent &chain, Tick deliver);
 
     CrossbarParams params_;
     Topology topo_;
     Tick orderGap_;
-    bool fuse_;
     std::array<Tick, numKinds> occupancyByKind_{};
 
     OrderHandler onOrder_;

@@ -57,9 +57,9 @@ class Writer;
  * the scheduled tick; release() is called by the queue once the event
  * leaves it (after process(), on deschedule, or at queue destruction)
  * and returns pooled events to their pool. process() may re-insert
- * the event itself (self-rescheduling order/delivery retries, fused
- * hop chains); the queue skips release() while the event is
- * scheduled, so pooled self-rescheduling events are safe.
+ * the event itself (a CPU resume slice re-inserting at its next
+ * quantum); the queue skips release() while the event is scheduled,
+ * so pooled self-rescheduling events are safe.
  */
 class Event
 {

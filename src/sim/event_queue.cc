@@ -81,17 +81,6 @@ EventQueue::schedule(Event &ev, Tick when, EventPriority prio)
     enqueuePrepared(ev);
 }
 
-std::uint64_t
-EventQueue::allocKey(EventPriority prio)
-{
-    const auto prio_bits = static_cast<std::uint64_t>(prio);
-    dsp_assert(prio_bits < 256, "priority %d does not fit the packed "
-                                "tiebreak key",
-               static_cast<int>(prio));
-    dsp_assert(nextSeq_ <= seqMask, "insertion sequence overflow");
-    return (prio_bits << seqBits) | nextSeq_++;
-}
-
 void
 EventQueue::scheduleWithKey(Event &ev, Tick when, std::uint64_t key)
 {
@@ -148,35 +137,6 @@ EventQueue::insertPrepared(Event &ev)
         ringInsert(ev);
     else
         heapPush(ev);
-}
-
-bool
-EventQueue::chainAdvance(Tick when, std::uint64_t key,
-                         std::uint16_t domain)
-{
-    dsp_assert(when >= now_,
-               "chain hop at %llu behind the clock %llu",
-               static_cast<unsigned long long>(when),
-               static_cast<unsigned long long>(now_));
-    // A fused hop may not outrun the window the scheduler planned
-    // around: past runLimit_ other shards (or the planner) are
-    // entitled to insert earlier work first.
-    if (when > runLimit_)
-        return false;
-    // Nothing already queued may order before the hop, or inlining it
-    // would reorder against the calendar's total order.
-    if (!empty()) {
-        const Event *min = peekEarliest();
-        if (min->when_ < when ||
-            (min->when_ == when && min->key_ < key)) {
-            return false;
-        }
-    }
-    now_ = when;
-    advanceWindow(now_);
-    ++executed_;  // a fused hop is still one executed event
-    *domainSink_ = domain;
-    return true;
 }
 
 void
@@ -540,8 +500,8 @@ EventQueue::execute(Event *ev)
     ++executed_;
     *domainSink_ = ev->domain_;
     ev->process();
-    // A process() that rescheduled the event itself (fused chains
-    // re-inserting at their next hop) still owns its slot.
+    // A process() that rescheduled the event itself (a CPU resume
+    // slice re-inserting at its next quantum) still owns its slot.
     if (!ev->scheduled_)
         ev->release();
 }
@@ -556,7 +516,6 @@ EventQueue::step()
 std::uint64_t
 EventQueue::run(Tick limit)
 {
-    runLimit_ = limit;
     running_ = true;
     std::uint64_t n = 0;
     while (!empty()) {
@@ -571,7 +530,6 @@ EventQueue::run(Tick limit)
         now_ = limit;
         advanceWindow(now_);
     }
-    runLimit_ = maxTick;
     return n;
 }
 

@@ -46,8 +46,10 @@ enum class EventPriority : int {
 /**
  * Deterministic discrete-event queue.
  *
- * Not thread safe; the whole simulator is single threaded by design (it
- * models parallelism, it does not use it).
+ * Not thread safe: under the sharded kernel each queue is touched only
+ * by its owning shard's thread (other shards hand it events through
+ * mailboxes, drained by that thread), and between runs by the single
+ * boot thread.
  */
 class EventQueue
 {
@@ -121,31 +123,10 @@ class EventQueue
      */
     void deschedule(Event &ev);
 
-    /**
-     * Allocate the tiebreak key the next schedule() at this priority
-     * would assign, consuming the same sequence counter. Chain fusion
-     * pre-assigns hop keys with this so a fused run's key stream is
-     * bit-identical to the unfused one; pair with scheduleWithKey().
-     */
-    std::uint64_t allocKey(EventPriority prio);
-
-    /**
-     * Inline-advance to a fused chain hop at (when, key): legal only
-     * when nothing pending orders before it and `when` lies inside the
-     * current run() limit (a fused hop must never leak past a window
-     * boundary the scheduler planned around). On success the clock
-     * moves to `when`, the hop counts as an executed event, and the
-     * hop's domain is published to the domain sink exactly as a real
-     * pop would; the caller then runs the hop's work inline. On
-     * refusal nothing changes -- the caller re-inserts itself with
-     * scheduleWithKey() and the calendar serves the hop normally.
-     */
-    bool chainAdvance(Tick when, std::uint64_t key,
-                      std::uint16_t domain);
-
     /** Calendar work over the queue's lifetime: schedule insertions
-     *  plus executed pops. Fused chain hops skip both planes, so this
-     *  is the counter chain fusion exists to shrink. */
+     *  plus executed pops. Events served from the run-next buffer
+     *  skip both planes, so this is the counter that buffer exists to
+     *  shrink. */
     std::uint64_t calendarOps() const { return inserts_ + pops_; }
 
     /** Restore the lifetime calendar-op counter from a checkpoint. */
@@ -335,11 +316,11 @@ class EventQueue
      * buffer instead of entering a calendar plane: the hops the
      * in-flight transactions schedule next are overwhelmingly the
      * next things to run, and consuming one from the buffer skips the
-     * bucket insert and pop entirely (the sequential half of chain
-     * fusion -- the request->order->deliver->supply ladder -- without
-     * touching any call site). The buffer competes with the calendar
-     * planes on exact (when, key) order everywhere the queue compares
-     * events, so execution order is bit-identical to a pure calendar;
+     * bucket insert and pop entirely (the request -> order ->
+     * deliver -> supply ladder of every transaction, without touching
+     * any call site). The buffer competes with the calendar planes on
+     * exact (when, key) order everywhere the queue compares events,
+     * so execution order is bit-identical to a pure calendar;
      * when it fills, the latest-ordering parked event spills to a
      * calendar plane. Parked events survive run() boundaries -- every
      * observer (pending counts, earliest queries, checkpoints via
@@ -418,11 +399,6 @@ class EventQueue
     std::uint64_t executed_ = 0;
     std::uint64_t inserts_ = 0;
     std::uint64_t pops_ = 0;
-
-    /** Inclusive upper tick of the run() in progress (maxTick outside
-     *  run()); chainAdvance() refuses hops beyond it so fusion cannot
-     *  cross a window boundary. */
-    Tick runLimit_ = maxTick;
 
     /** Where execute() publishes the running event's domain id.
      *  Defaults to an internal dummy so the store is unconditional. */

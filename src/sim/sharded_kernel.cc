@@ -61,24 +61,6 @@ DomainPort::schedule(Event &ev, Tick when, EventPriority prio)
     kernel_->scheduleOn(domain_, shard_, ev, when, prio);
 }
 
-std::uint64_t
-DomainPort::allocKey(EventPriority prio)
-{
-    if (kernel_ == nullptr)
-        return queue_->allocKey(prio);
-    return kernel_->allocKeyFor(domain_, prio);
-}
-
-void
-DomainPort::scheduleKeyed(Event &ev, Tick when, std::uint64_t key)
-{
-    if (kernel_ == nullptr) {
-        queue_->scheduleWithKey(ev, when, key);
-        return;
-    }
-    kernel_->scheduleKeyedOn(domain_, shard_, ev, when, key);
-}
-
 void
 DomainPort::deschedule(Event &ev)
 {
@@ -188,51 +170,6 @@ ShardedKernel::scheduleOn(std::uint16_t domain, unsigned target_shard,
     from.crossDomainSends += sender != domain ? 1 : 0;
     std::uint64_t key =
         packKey(prio, sender, domainSeq_[sender].next++);
-    if (ctx.shard == target_shard) {
-        from.queue.scheduleWithKey(ev, when, key);
-    } else {
-        Plane &plane =
-            mailbox(ctx.shard, target_shard).planes[from.curPlane];
-        plane.recs.push_back(MailRec{&ev, when, key});
-        if (when < plane.min1) {
-            plane.min2 = plane.min1;
-            plane.min1 = when;
-        } else if (when < plane.min2) {
-            plane.min2 = when;
-        }
-    }
-}
-
-std::uint64_t
-ShardedKernel::allocKeyFor(std::uint16_t target_domain,
-                           EventPriority prio)
-{
-    const ExecContext &ctx = execContext();
-    if (ctx.kernel != this) {
-        return packKey(prio, bootDomain,
-                       domainSeq_[bootDomain].next++);
-    }
-    Shard &from = *shards_[ctx.shard];
-    std::uint16_t sender = from.curDomain;
-    // Mirror scheduleOn()'s accounting exactly: a pre-assigned key
-    // still represents one (possibly cross-domain) send, and batched
-    // -window truncation must not notice whether a run fuses.
-    from.crossDomainSends += sender != target_domain ? 1 : 0;
-    return packKey(prio, sender, domainSeq_[sender].next++);
-}
-
-void
-ShardedKernel::scheduleKeyedOn(std::uint16_t domain,
-                               unsigned target_shard, Event &ev,
-                               Tick when, std::uint64_t key)
-{
-    ev.domain_ = domain;
-    const ExecContext &ctx = execContext();
-    if (ctx.kernel != this) {
-        shards_[target_shard]->queue.scheduleWithKey(ev, when, key);
-        return;
-    }
-    Shard &from = *shards_[ctx.shard];
     if (ctx.shard == target_shard) {
         from.queue.scheduleWithKey(ev, when, key);
     } else {

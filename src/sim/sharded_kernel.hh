@@ -125,24 +125,6 @@ class DomainPort
      *  its own thread or while the kernel is quiescent). */
     void deschedule(Event &ev);
 
-    /**
-     * Allocate the key the next schedule() through this port would
-     * assign -- same sending-domain counter, same priority packing,
-     * and the same cross-domain-send accounting (so batched-window
-     * truncation stays identical to an unfused run). Chain fusion
-     * pre-assigns per-hop keys with this; pair with scheduleKeyed().
-     */
-    std::uint64_t allocKey(EventPriority prio);
-
-    /** Schedule with a key previously produced by allocKey(); routes
-     *  through the same mailbox/direct-insert paths as schedule(). */
-    void scheduleKeyed(Event &ev, Tick when, std::uint64_t key);
-
-    /** The underlying queue (this domain's shard in kernel mode). */
-    EventQueue &queue() const { return *queue_; }
-
-    std::uint16_t domain() const { return domain_; }
-
   private:
     EventQueue *queue_ = nullptr;
     ShardedKernel *kernel_ = nullptr;  ///< null in standalone mode
@@ -202,8 +184,9 @@ class ShardedKernel
     std::uint64_t executed() const;
 
     /** Calendar insertions + pops across all shards (quiescent state
-     *  only); fused chain hops bypass both, so this is the cost the
-     *  bench's calendar_ops_per_miss attributes. */
+     *  only); events served from a queue's run-next buffer bypass
+     *  both, so this is the cost the bench's calendar_ops_per_miss
+     *  attributes. */
     std::uint64_t calendarOps() const;
 
     /** True when no shard has pending events (quiescent state only). */
@@ -354,12 +337,6 @@ class ShardedKernel
 
     void scheduleOn(std::uint16_t domain, unsigned target_shard,
                     Event &ev, Tick when, EventPriority prio);
-
-    std::uint64_t allocKeyFor(std::uint16_t target_domain,
-                              EventPriority prio);
-
-    void scheduleKeyedOn(std::uint16_t domain, unsigned target_shard,
-                         Event &ev, Tick when, std::uint64_t key);
 
     Mailbox &
     mailbox(unsigned src, unsigned dst)

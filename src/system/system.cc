@@ -1189,8 +1189,6 @@ System::restoreOneEvent(ckpt::Reader &r)
         return crossbar_.ckptRestoreOrder(r);
       case ckpt::EventTag::XbarDeliver:
         return crossbar_.ckptRestoreDeliver(r);
-      case ckpt::EventTag::XbarChain:
-        return crossbar_.ckptRestoreChain(r, kernel_);
       case ckpt::EventTag::CacheIssue: {
         NodeId n = r.u16();
         return cacheCtrls_[n]->ckptRestoreIssue(r);

@@ -308,6 +308,75 @@ TEST(EventQueueIntrusive, PendingPooledEventsReleasedOnQueueDestruction)
     EXPECT_TRUE(log.empty());
 }
 
+/** Pooled event that re-inserts *itself* (same queue, future tick)
+ *  until its hop budget runs out -- the shape of SimpleCpu's resume
+ *  slice. The queue's execute() must skip release() while the event
+ *  is scheduled, and deschedule() must recycle it exactly once. */
+struct SelfChain final : Event {
+    EventQueue *q = nullptr;
+    int hopsLeft = 0;
+    int executed = 0;
+
+    SelfChain(EventQueue &queue, int hops) : q(&queue), hopsLeft(hops)
+    {
+    }
+
+    void
+    process() override
+    {
+        ++executed;
+        if (--hopsLeft > 0)
+            q->schedule(*this, q->now() + 10, EventPriority::Delivery);
+    }
+
+    void
+    release() override
+    {
+        EventPool<SelfChain>::instance().release(this);
+    }
+};
+
+TEST(EventQueueIntrusive, DescheduleMidChainRecyclesThePooledEvent)
+{
+    EventPoolStats before = eventPoolStats();
+    EventQueue q;
+    SelfChain &chain =
+        *EventPool<SelfChain>::instance().acquire(q, 4);
+    q.schedule(chain, 10, EventPriority::Delivery);
+
+    // Two hops execute (10, 20); the third insertion at 30 sits
+    // beyond the window and stays pending.
+    q.run(25);
+    EXPECT_EQ(chain.executed, 2);
+    EXPECT_EQ(q.pending(), 1u);
+
+    // Cancel mid-chain: the event leaves the queue and goes back to
+    // its pool exactly once (live count returns to the baseline).
+    q.deschedule(chain);
+    EXPECT_TRUE(q.empty());
+    EventPoolStats after = eventPoolStats();
+    EXPECT_EQ(after.live(), before.live());
+    EXPECT_EQ(after.acquires - before.acquires, 1u);
+    EXPECT_EQ(after.releases - before.releases, 1u);
+}
+
+TEST(EventQueueIntrusive, SelfRescheduleSurvivesTheReleaseSkipAndDrains)
+{
+    EventPoolStats before = eventPoolStats();
+    EventQueue q;
+    SelfChain &chain =
+        *EventPool<SelfChain>::instance().acquire(q, 3);
+    q.schedule(chain, 10, EventPriority::Delivery);
+
+    // Run to completion: the final hop does not re-insert, so the
+    // queue's execute() releases the event normally.
+    q.run();
+    EXPECT_TRUE(q.empty());
+    EventPoolStats after = eventPoolStats();
+    EXPECT_EQ(after.live(), before.live());
+    EXPECT_EQ(after.releases - before.releases, 1u);
+}
+
 // ---- calendar-queue specifics --------------------------------------------
 //
 // The queue is a two-level calendar: a ring of per-tick-range buckets

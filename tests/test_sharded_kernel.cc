@@ -345,6 +345,10 @@ expectBitIdentical(const SystemStats &a, const SystemStats &b)
     // Integer tick arithmetic end to end: even the derived double
     // must match exactly.
     EXPECT_EQ(a.avgMissLatencyNs, b.avgMissLatencyNs);
+    // Window planning is K-independent too: the same global earliest
+    // ticks and batch rules yield the same windows and crossings.
+    EXPECT_EQ(a.windowsRun, b.windowsRun);
+    EXPECT_EQ(a.barrierCrossings, b.barrierCrossings);
 }
 
 TEST(ShardedKernel, SystemK4BitIdenticalToK1Multicast)
