@@ -48,10 +48,6 @@ EventQueue::~EventQueue()
         entry.ev->heapIndex_ = Event::invalidHeapIndex;
         entry.ev->release();
     }
-    for (std::size_t i = 0; i < runNextLive_; ++i) {
-        runNext_[i]->scheduled_ = false;
-        runNext_[i]->release();
-    }
 }
 
 void
@@ -78,7 +74,7 @@ EventQueue::schedule(Event &ev, Tick when, EventPriority prio)
     ev.when_ = when;
     ev.key_ = (prio_bits << seqBits) | nextSeq_++;
     ev.scheduled_ = true;
-    enqueuePrepared(ev);
+    insertPrepared(ev);
 }
 
 void
@@ -91,41 +87,6 @@ EventQueue::scheduleWithKey(Event &ev, Tick when, std::uint64_t key)
     ev.when_ = when;
     ev.key_ = key;
     ev.scheduled_ = true;
-    enqueuePrepared(ev);
-}
-
-void
-EventQueue::enqueuePrepared(Event &ev)
-{
-    if (running_) {
-        std::size_t n = runNextLive_;
-        if (n == runNextCap) {
-            // Full: the latest-ordering event loses its seat --
-            // either the newcomer goes straight to a calendar plane,
-            // or the current back is spilled to make room.
-            Event *back = runNext_[n - 1];
-            if (ev.when_ > back->when_ ||
-                (ev.when_ == back->when_ && ev.key_ > back->key_)) {
-                insertPrepared(ev);
-                return;
-            }
-            insertPrepared(*back);
-            --n;
-        }
-        // Sorted insert scanned from the back: a freshly scheduled
-        // hop usually orders after the hops already parked.
-        std::size_t i = n;
-        while (i > 0 &&
-               (runNext_[i - 1]->when_ > ev.when_ ||
-                (runNext_[i - 1]->when_ == ev.when_ &&
-                 runNext_[i - 1]->key_ > ev.key_))) {
-            runNext_[i] = runNext_[i - 1];
-            --i;
-        }
-        runNext_[i] = &ev;
-        runNextLive_ = n + 1;
-        return;
-    }
     insertPrepared(ev);
 }
 
@@ -143,16 +104,6 @@ void
 EventQueue::deschedule(Event &ev)
 {
     dsp_assert(ev.scheduled_, "deschedule of unscheduled event");
-    for (std::size_t i = 0; i < runNextLive_; ++i) {
-        if (runNext_[i] == &ev) {
-            for (std::size_t j = i + 1; j < runNextLive_; ++j)
-                runNext_[j - 1] = runNext_[j];
-            --runNextLive_;
-            ev.scheduled_ = false;
-            ev.release();
-            return;
-        }
-    }
     if (ev.heapIndex_ != Event::invalidHeapIndex) {
         dsp_assert(ev.heapIndex_ < heap_.size() &&
                        heap_[ev.heapIndex_].ev == &ev,
@@ -322,7 +273,7 @@ EventQueue::nextOccupiedAfter(std::size_t b) const
 }
 
 void
-EventQueue::planesEarliestTwo(Tick &first, Tick &second) const
+EventQueue::earliestTwo(Tick &first, Tick &second) const
 {
     first = maxTick;
     second = maxTick;
@@ -356,23 +307,6 @@ EventQueue::planesEarliestTwo(Tick &first, Tick &second) const
 }
 
 void
-EventQueue::earliestTwo(Tick &first, Tick &second) const
-{
-    planesEarliestTwo(first, second);
-    // The buffer is sorted, so its first two entries are the only
-    // candidates for the global two-smallest multiset.
-    for (std::size_t i = 0; i < runNextLive_ && i < 2; ++i) {
-        Tick t = runNext_[i]->when_;
-        if (t < first) {
-            second = first;
-            first = t;
-        } else if (t < second) {
-            second = t;
-        }
-    }
-}
-
-void
 EventQueue::advanceTo(Tick t)
 {
     if (t <= now_ || t == maxTick)
@@ -391,24 +325,13 @@ EventQueue::peekEarliest() const
 {
     // Ring events always precede overflow events (the heap only holds
     // when >= ringLimit_), so the ring wins whenever it is non-empty;
-    // otherwise the heap front is the plane minimum directly. The
-    // run-next buffer's front competes on (when, key) like a third
-    // plane. No side effects: peeking must never advance the calendar
-    // window, or a run(limit) that peeks a far-future event without
-    // executing it would leave later near-tick schedules in aliased
-    // buckets.
-    Event *min = nullptr;
+    // otherwise the heap front is the plane minimum directly. No
+    // side effects: peeking must never advance the calendar window,
+    // or a run(limit) that peeks a far-future event without executing
+    // it would leave later near-tick schedules in aliased buckets.
     if (ringLive_ != 0)
-        min = buckets_[firstOccupiedBucket()].head;
-    else if (!heap_.empty())
-        min = heap_.front().ev;
-    if (runNextLive_ != 0) {
-        Event *parked = runNext_[0];
-        if (min == nullptr || parked->when_ < min->when_ ||
-            (parked->when_ == min->when_ && parked->key_ < min->key_))
-            return parked;
-    }
-    return min;
+        return buckets_[firstOccupiedBucket()].head;
+    return heap_.front().ev;
 }
 
 // ---- overflow plane -------------------------------------------------------
@@ -480,20 +403,11 @@ EventQueue::heapRemoveAt(std::size_t i)
 void
 EventQueue::execute(Event *ev)
 {
-    if (runNextLive_ != 0 && ev == runNext_[0]) {
-        // Served straight from the run-next buffer: neither calendar
-        // plane was ever touched, so no pop is counted (its insert
-        // was skipped too).
-        --runNextLive_;
-        for (std::size_t i = 0; i < runNextLive_; ++i)
-            runNext_[i] = runNext_[i + 1];
-    } else {
-        if (ev->heapIndex_ != Event::invalidHeapIndex)
-            heapRemoveAt(ev->heapIndex_);
-        else
-            ringRemove(*ev);
-        ++pops_;
-    }
+    if (ev->heapIndex_ != Event::invalidHeapIndex)
+        heapRemoveAt(ev->heapIndex_);
+    else
+        ringRemove(*ev);
+    ++pops_;
     ev->scheduled_ = false;
     now_ = ev->when_;
     advanceWindow(now_);
@@ -516,7 +430,6 @@ EventQueue::step()
 std::uint64_t
 EventQueue::run(Tick limit)
 {
-    running_ = true;
     std::uint64_t n = 0;
     while (!empty()) {
         Event *ev = peekEarliest();
@@ -525,7 +438,6 @@ EventQueue::run(Tick limit)
         execute(ev);
         ++n;
     }
-    running_ = false;
     if (now_ < limit && limit != maxTick) {
         now_ = limit;
         advanceWindow(now_);

@@ -124,9 +124,7 @@ class EventQueue
     void deschedule(Event &ev);
 
     /** Calendar work over the queue's lifetime: schedule insertions
-     *  plus executed pops. Events served from the run-next buffer
-     *  skip both planes, so this is the counter that buffer exists to
-     *  shrink. */
+     *  plus executed pops. */
     std::uint64_t calendarOps() const { return inserts_ + pops_; }
 
     /** Restore the lifetime calendar-op counter from a checkpoint. */
@@ -141,7 +139,7 @@ class EventQueue
     bool
     empty() const
     {
-        return ringLive_ == 0 && heap_.empty() && runNextLive_ == 0;
+        return ringLive_ == 0 && heap_.empty();
     }
 
     /** Tick of the earliest pending event (maxTick when empty). */
@@ -183,7 +181,7 @@ class EventQueue
     std::size_t
     pending() const
     {
-        return ringLive_ + heap_.size() + runNextLive_;
+        return ringLive_ + heap_.size();
     }
 
     /** Execute the single earliest event, advancing time. */
@@ -220,10 +218,6 @@ class EventQueue
         }
         for (const HeapEntry &entry : heap_)
             fn(*entry.ev, entry.when, entry.key, entry.ev->domain_);
-        for (std::size_t i = 0; i < runNextLive_; ++i) {
-            Event *ev = runNext_[i];
-            fn(*ev, ev->when_, ev->key_, ev->domain_);
-        }
     }
 
     // ---- calendar geometry (public so tests can straddle it) -------------
@@ -306,32 +300,8 @@ class EventQueue
      *  bucketCount if none. */
     std::size_t nextOccupiedAfter(std::size_t b) const;
 
-    /** earliestTwo over the two calendar planes only (the public
-     *  earliestTwo merges the run-next buffer on top). */
-    void planesEarliestTwo(Tick &first, Tick &second) const;
-
-    /**
-     * Enqueue a prepared event (when_/key_/scheduled_ set). An event
-     * scheduled from inside run() parks in the small sorted run-next
-     * buffer instead of entering a calendar plane: the hops the
-     * in-flight transactions schedule next are overwhelmingly the
-     * next things to run, and consuming one from the buffer skips the
-     * bucket insert and pop entirely (the request -> order ->
-     * deliver -> supply ladder of every transaction, without touching
-     * any call site). The buffer competes with the calendar planes on
-     * exact (when, key) order everywhere the queue compares events,
-     * so execution order is bit-identical to a pure calendar;
-     * when it fills, the latest-ordering parked event spills to a
-     * calendar plane. Parked events survive run() boundaries -- every
-     * observer (pending counts, earliest queries, checkpoints via
-     * forEachPending, deschedule) treats the buffer as a third plane.
-     * Only the calendar-op counter notices: buffer-served events cost
-     * no insert and no pop, which is the point.
-     */
-    void enqueuePrepared(Event &ev);
-
-    /** Insert a prepared event into a calendar plane, counting the
-     *  insert. */
+    /** Insert a prepared event (when_/key_/scheduled_ set) into its
+     *  plane, counting the insert. */
     void insertPrepared(Event &ev);
 
     /** Insert a prepared event (when_/key_ set) into its bucket's
@@ -378,21 +348,6 @@ class EventQueue
     Tick ringLimit_ = ringHorizon;  ///< exclusive upper ring coverage
 
     std::vector<HeapEntry> heap_;
-
-    /** Capacity of the run-next buffer: enough seats for every
-     *  in-flight transaction's next hop at the contention levels the
-     *  workloads produce, small enough that the sorted insert is a
-     *  few pointer moves within two cache lines. */
-    static constexpr std::size_t runNextCap = 16;
-
-    /** Run-next buffer: events parked outside both calendar planes,
-     *  sorted ascending by (when, key) so runNext_[0] is its minimum
-     *  (see enqueuePrepared). */
-    Event *runNext_[runNextCap] = {};
-    std::size_t runNextLive_ = 0;
-
-    /** True while run() is executing events (parking is legal). */
-    bool running_ = false;
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;

@@ -557,7 +557,10 @@ ShardedKernel::ckptSchedule(Event &ev, std::uint16_t domain, Tick when,
     dsp_assert(domain >= 1 && domain < domainShard_.size(),
                "checkpointed event has bad domain %u", domain);
     ev.domain_ = domain;
-    shards_[domainShard_[domain]]->queue.scheduleWithKey(ev, when, key);
+    EventQueue &queue = shards_[domainShard_[domain]]->queue;
+    queue.scheduleWithKey(ev, when, key);
+    // The saved calendar-op total already counts this event's insert.
+    queue.ckptSetCalendarOps(queue.calendarOps() - 1);
 }
 
 void
@@ -589,8 +592,7 @@ ShardedKernel::ckptLoadCounters(ckpt::Reader &r)
     batchedWindows_ = r.u64();
     // The per-shard split of the executed count is partition-dependent;
     // the lifetime total is not. Park it all on shard 0. Same for the
-    // calendar-op total (a host-cost attribution counter, not a
-    // simulation statistic).
+    // calendar-op total.
     shards_[0]->queue.ckptSetExecuted(r.u64());
     shards_[0]->queue.ckptSetCalendarOps(r.u64());
 }

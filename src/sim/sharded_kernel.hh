@@ -184,9 +184,9 @@ class ShardedKernel
     std::uint64_t executed() const;
 
     /** Calendar insertions + pops across all shards (quiescent state
-     *  only); events served from a queue's run-next buffer bypass
-     *  both, so this is the cost the bench's calendar_ops_per_miss
-     *  attributes. */
+     *  only): the cost the bench's calendar_ops_per_miss attributes.
+     *  Each event is inserted and popped once on whichever shard holds
+     *  it, so the total is independent of the partition. */
     std::uint64_t calendarOps() const;
 
     /** True when no shard has pending events (quiescent state only). */
@@ -224,7 +224,9 @@ class ShardedKernel
     void ckptAdvanceTo(Tick t);
 
     /** Re-insert a restored event with its original key; routed to the
-     *  owning shard through this kernel's domain map, so any K works. */
+     *  owning shard through this kernel's domain map, so any K works.
+     *  The re-insert is not counted as calendar work: the restored
+     *  calendar-op total already holds the original insert. */
     void ckptSchedule(Event &ev, std::uint16_t domain, Tick when,
                       std::uint64_t key);
 

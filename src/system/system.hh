@@ -211,13 +211,11 @@ struct SystemStats {
      *  the debug walk counters: 0 when built with NDEBUG. */
     std::uint64_t wordTouches = 0;
 
-    /** Calendar insertions + pops in the measured phase. Events
-     *  served from a queue's run-next buffer never enter the
-     *  calendar, so this (divided by misses) is the figure of merit
-     *  that buffer moves. Partition-dependent: each shard has its own
-     *  buffer, and mailed or spilled events take a real insert, so
-     *  the count may differ across shard counts -- a host
-     *  performance counter, never a figure statistic. */
+    /** Calendar insertions + pops in the measured phase. Every
+     *  scheduled event costs one insert and one pop on whichever
+     *  shard holds it, so the count is identical at every shard
+     *  count (covered by the check.sh cross-check). A host cost
+     *  counter, not a figure statistic. */
     std::uint64_t calendarOps = 0;
     /** Always 0: the send-time host prefetch hints it counted were
      *  deleted. Kept only because the benchmark runner still reports

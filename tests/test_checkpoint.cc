@@ -163,6 +163,7 @@ expectFigureEqual(const SystemStats &a, const SystemStats &b)
     EXPECT_EQ(a.l0Hits, b.l0Hits);
     EXPECT_EQ(a.l0Absorbed, b.l0Absorbed);
     EXPECT_EQ(a.wordTouches, b.wordTouches);
+    EXPECT_EQ(a.calendarOps, b.calendarOps);
     EXPECT_EQ(a.stoppedEarly, b.stoppedEarly);
 }
 

@@ -518,14 +518,14 @@ TEST(EventQueueCalendar, PendingOverflowEventsReleasedOnDestruction)
     EXPECT_TRUE(log.empty());
 }
 
-// ---- run-next buffer ------------------------------------------------------
+// ---- handler-scheduled events ---------------------------------------------
 
-TEST(EventQueueRunNext, HandlerScheduledChainSkipsTheCalendar)
+TEST(EventQueueCalendar, HandlerScheduledChainCostsOneInsertAndOnePopEach)
 {
     // A ladder of events, each scheduled from the previous one's
-    // handler, is served entirely from the run-next buffer: only the
-    // seed (scheduled outside run()) touches a calendar plane, so the
-    // whole chain costs exactly one insert and one pop.
+    // handler, goes through the calendar like any other: after a
+    // drained run with no deschedules, every executed event has cost
+    // exactly one insert and one pop.
     EventQueue q;
     int fired = 0;
     std::function<void()> chain = [&]() {
@@ -538,13 +538,13 @@ TEST(EventQueueRunNext, HandlerScheduledChainSkipsTheCalendar)
     q.run();
     EXPECT_EQ(fired, 6);
     EXPECT_EQ(q.executed(), 6u);
-    EXPECT_EQ(q.calendarOps(), before + 1);  // ... and its pop
+    EXPECT_EQ(q.calendarOps(), 2 * q.executed());
 }
 
-TEST(EventQueueRunNext, ParkedEventsCompeteInExactTickOrder)
+TEST(EventQueueCalendar, HandlerScheduledEventsRunInExactTickOrder)
 {
-    // Events parked by a handler interleave with calendar events in
-    // strict tick order, exactly as if they had been inserted.
+    // Events scheduled by a handler interleave with events scheduled
+    // before the run in strict tick order.
     EventQueue q;
     std::vector<int> log;
     q.schedule(30, [&]() { log.push_back(30); });
@@ -557,15 +557,14 @@ TEST(EventQueueRunNext, ParkedEventsCompeteInExactTickOrder)
     EXPECT_EQ(log, (std::vector<int>{10, 20, 30, 40}));
 }
 
-TEST(EventQueueRunNext, OverflowSpillsToCalendarAndKeepsOrder)
+TEST(EventQueueCalendar, ManyDescendingInsertsFromOneHandlerKeepOrder)
 {
-    // Far more handler-scheduled events than the buffer can seat: the
-    // spill path must hand the excess to the calendar planes without
-    // perturbing the total order.
+    // Forty events scheduled from one handler in descending tick
+    // order: every insert lands before the events already queued, and
+    // the total order must still come out ascending.
     EventQueue q;
     std::vector<int> log;
     q.schedule(5, [&]() {
-        // Descending ticks, so every newcomer displaces the back.
         for (int i = 40; i >= 1; --i) {
             q.schedule(static_cast<Tick>(10 * i),
                        [&log, i]() { log.push_back(i); });
@@ -577,11 +576,11 @@ TEST(EventQueueRunNext, OverflowSpillsToCalendarAndKeepsOrder)
         EXPECT_EQ(log[static_cast<std::size_t>(i - 1)], i);
 }
 
-TEST(EventQueueRunNext, ParkedEventsSurviveRunBoundaries)
+TEST(EventQueueCalendar, HandlerScheduledEventsSurviveRunBoundaries)
 {
-    // Events parked during one run() stay parked across the window
+    // Events scheduled during one run() stay queued across the window
     // boundary: pending counts, earliest queries, forEachPending, and
-    // a later run() all see them as if they sat in a calendar plane.
+    // a later run() all see them.
     EventQueue q;
     std::vector<int> log;
     q.schedule(10, [&]() {
@@ -607,11 +606,11 @@ TEST(EventQueueRunNext, ParkedEventsSurviveRunBoundaries)
     EXPECT_EQ(log, (std::vector<int>{100, 200}));
 }
 
-TEST(EventQueueRunNext, DescheduleOfParkedEventRecyclesIt)
+TEST(EventQueueIntrusive, DescheduleOfHandlerScheduledEventRecyclesIt)
 {
-    // A pooled event cancelled while parked in the run-next buffer is
-    // released back to its pool, and the remaining parked events keep
-    // their order.
+    // A pooled event scheduled by a handler and cancelled between
+    // runs is released back to its pool, and the remaining events
+    // keep their order.
     EventQueue q;
     std::vector<int> log;
     auto &pool = EventPool<PooledTestEvent>::instance();
@@ -634,7 +633,7 @@ TEST(EventQueueRunNext, DescheduleOfParkedEventRecyclesIt)
     EXPECT_EQ(log, (std::vector<int>{1, 2}));  // 99 never ran
 }
 
-TEST(EventQueueRunNext, PendingParkedEventsReleasedOnDestruction)
+TEST(EventQueueIntrusive, PendingHandlerScheduledEventsReleasedOnDestruction)
 {
     auto &pool = EventPool<PooledTestEvent>::instance();
     std::vector<int> log;
@@ -642,7 +641,7 @@ TEST(EventQueueRunNext, PendingParkedEventsReleasedOnDestruction)
     {
         EventQueue q;
         q.schedule(5, [&q, &pool, &log]() {
-            q.schedule(*pool.acquire(&log, 1), 50);  // parks
+            q.schedule(*pool.acquire(&log, 1), 50);  // still pending
         });
         q.run(10);
     }

@@ -349,6 +349,9 @@ expectBitIdentical(const SystemStats &a, const SystemStats &b)
     // ticks and batch rules yield the same windows and crossings.
     EXPECT_EQ(a.windowsRun, b.windowsRun);
     EXPECT_EQ(a.barrierCrossings, b.barrierCrossings);
+    // Every event costs one calendar insert and one pop on whichever
+    // shard holds it, so the host cost counter is K-independent too.
+    EXPECT_EQ(a.calendarOps, b.calendarOps);
 }
 
 TEST(ShardedKernel, SystemK4BitIdenticalToK1Multicast)
