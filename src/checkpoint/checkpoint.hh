@@ -35,7 +35,7 @@ namespace ckpt {
  *  change to any subsystem's save layout bumps the version; restore
  *  refuses a version mismatch instead of misreading old bytes. */
 constexpr std::uint32_t fileMagic = 0x43505344u;
-constexpr std::uint32_t formatVersion = 5;
+constexpr std::uint32_t formatVersion = 6;
 
 /**
  * Append-only byte-buffer serializer. All integers are written in

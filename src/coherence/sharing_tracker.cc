@@ -4,11 +4,69 @@
 
 namespace dsp {
 
-SharingTracker::SharingTracker(NodeId num_nodes)
-    : numNodes_(num_nodes)
+SharingTracker::SharingTracker(NodeId num_nodes, unsigned stride)
+    : numNodes_(num_nodes),
+      stride_(stride),
+      sharerWords_((num_nodes + 63) / 64),
+      recordWords_(2 + sharerWords_)
 {
     dsp_assert(num_nodes > 0 && num_nodes <= maxNodes,
                "node count %u out of range", num_nodes);
+    dsp_assert(stride > 0, "tracker block stride must be positive");
+}
+
+const std::uint64_t *
+SharingTracker::findRecord(BlockId block) const
+{
+    std::uint64_t local = block / stride_;
+    auto it = pageOf_.find(local >> pageBits);
+    if (it == pageOf_.end())
+        return nullptr;
+    std::uint64_t slot = local & ((std::uint64_t{1} << pageBits) - 1);
+    return pages_[it->second].data() + slot * recordWords_;
+}
+
+std::uint64_t *
+SharingTracker::record(BlockId block)
+{
+    if (std::uint64_t *rec = findRecord(block))
+        return rec;
+    newPage((block / stride_) >> pageBits);
+    return findRecord(block);
+}
+
+std::vector<std::uint64_t> &
+SharingTracker::newPage(std::uint64_t page)
+{
+    pageOf_[page] = static_cast<std::uint32_t>(pages_.size());
+    return pages_.emplace_back(std::size_t{recordWords_} << pageBits);
+}
+
+SharingTracker::BlockState
+SharingTracker::decode(const std::uint64_t *rec) const
+{
+    BlockState st;
+    st.lastOrder = rec[0];
+    st.owner = static_cast<NodeId>(rec[1] - 1);
+    DestinationSet::Words words{};
+    std::copy_n(rec + 2, sharerWords_, words.begin());
+    st.sharers = DestinationSet::fromWords(words);
+    return st;
+}
+
+void
+SharingTracker::encode(const BlockState &st, std::uint64_t *rec) const
+{
+    rec[0] = st.lastOrder;
+    rec[1] = static_cast<NodeId>(st.owner + 1);
+    std::copy_n(st.sharers.words().begin(), sharerWords_, rec + 2);
+}
+
+void
+SharingTracker::forget(std::uint64_t *rec)
+{
+    std::fill_n(rec, recordWords_, 0);
+    --tracked_;
 }
 
 SharingTracker::Transaction
@@ -61,10 +119,9 @@ SharingTracker::inspect(BlockId block, NodeId requester,
 {
     dsp_assert(requester < numNodes_, "requester %u out of range",
                requester);
-    auto it = blocks_.find(block);
-    static const BlockState memory_owned{};
-    const BlockState &st = it == blocks_.end() ? memory_owned : it->second;
-    return makeTransaction(st, requester, type);
+    const std::uint64_t *rec = findRecord(block);
+    return makeTransaction(rec ? decode(rec) : BlockState{}, requester,
+                           type);
 }
 
 void
@@ -83,15 +140,27 @@ SharingTracker::applyTo(BlockState &st, NodeId requester,
     }
 }
 
+void
+SharingTracker::commit(std::uint64_t *rec, BlockState &st,
+                       NodeId requester, RequestType type, Tick now)
+{
+    // Every applied request leaves the requester holding the block.
+    if (!held(st))
+        ++tracked_;
+    applyTo(st, requester, type, now);
+    encode(st, rec);
+}
+
 SharingTracker::Transaction
 SharingTracker::apply(BlockId block, NodeId requester, RequestType type,
                       Tick now)
 {
     dsp_assert(requester < numNodes_, "requester %u out of range",
                requester);
-    BlockState &st = blocks_[block];
+    std::uint64_t *rec = record(block);
+    BlockState st = decode(rec);
     Transaction t = makeTransaction(st, requester, type);
-    applyTo(st, requester, type, now);
+    commit(rec, st, requester, type, now);
     return t;
 }
 
@@ -103,71 +172,82 @@ SharingTracker::applyIfSufficient(BlockId block, NodeId requester,
 {
     dsp_assert(requester < numNodes_, "requester %u out of range",
                requester);
-    BlockState &st = blocks_[block];
+    std::uint64_t *rec = record(block);
+    BlockState st = decode(rec);
     Transaction t = makeTransaction(st, requester, type);
-    // An absent/default entry requires no observers, so any dests is
+    // A default record requires no observers, so any dests is
     // sufficient there -- insufficiency implies real existing state.
     sufficient = dests.containsAll(t.required);
     if (sufficient)
-        applyTo(st, requester, type, now);
+        commit(rec, st, requester, type, now);
     return t;
 }
 
 Tick
 SharingTracker::lastOrderedAt(BlockId block) const
 {
-    auto it = blocks_.find(block);
-    return it == blocks_.end() ? 0 : it->second.lastOrder;
+    const std::uint64_t *rec = findRecord(block);
+    return rec ? rec[0] : 0;
 }
 
 void
 SharingTracker::evictShared(BlockId block, NodeId node)
 {
-    auto it = blocks_.find(block);
-    if (it == blocks_.end())
+    std::uint64_t *rec = findRecord(block);
+    if (!rec)
         return;
-    it->second.sharers.remove(node);
-    if (it->second.owner == invalidNode && it->second.sharers.empty())
-        blocks_.erase(it);
+    BlockState st = decode(rec);
+    if (!held(st))
+        return;
+    st.sharers.remove(node);
+    if (held(st))
+        encode(st, rec);
+    else
+        forget(rec);
 }
 
 void
 SharingTracker::evictOwned(BlockId block, NodeId node)
 {
-    auto it = blocks_.find(block);
-    if (it == blocks_.end())
+    std::uint64_t *rec = findRecord(block);
+    if (!rec)
         return;
-    dsp_assert(it->second.owner == node,
-               "writeback from node %u but owner is %u", node,
-               it->second.owner);
-    it->second.owner = invalidNode;
-    if (it->second.sharers.empty())
-        blocks_.erase(it);
+    BlockState st = decode(rec);
+    if (!held(st))
+        return;  // an untracked block: the notice is a no-op
+    dsp_assert(st.owner == node,
+               "writeback from node %u but owner is %u", node, st.owner);
+    st.owner = invalidNode;
+    if (held(st))
+        encode(st, rec);
+    else
+        forget(rec);
 }
 
 NodeId
 SharingTracker::ownerOf(BlockId block) const
 {
-    auto it = blocks_.find(block);
-    return it == blocks_.end() ? invalidNode : it->second.owner;
+    const std::uint64_t *rec = findRecord(block);
+    return rec ? decode(rec).owner : invalidNode;
 }
 
 DestinationSet
 SharingTracker::sharersOf(BlockId block) const
 {
-    auto it = blocks_.find(block);
-    return it == blocks_.end() ? DestinationSet{} : it->second.sharers;
+    const std::uint64_t *rec = findRecord(block);
+    return rec ? decode(rec).sharers : DestinationSet{};
 }
 
 DestinationSet
 SharingTracker::holdersOf(BlockId block) const
 {
-    auto it = blocks_.find(block);
-    if (it == blocks_.end())
+    const std::uint64_t *rec = findRecord(block);
+    if (!rec)
         return DestinationSet{};
-    DestinationSet holders = it->second.sharers;
-    if (it->second.owner != invalidNode)
-        holders.add(it->second.owner);
+    BlockState st = decode(rec);
+    DestinationSet holders = st.sharers;
+    if (st.owner != invalidNode)
+        holders.add(st.owner);
     return holders;
 }
 

@@ -3,10 +3,10 @@
  * Open-addressing flat hash containers for the simulation hot path.
  *
  * std::unordered_map's node-per-element design costs an allocation and
- * a pointer chase per entry; the simulator's hot tables (sharing
- * state, MSHRs, in-flight transactions, unbounded predictor tables,
- * analysis accumulators) are all keyed by small integers and live in
- * inner loops. FlatMap stores entries inline in a power-of-two slot
+ * a pointer chase per entry; the simulator's hot tables (MSHRs,
+ * in-flight transactions, data-chaining books, unbounded predictor
+ * tables, analysis accumulators) are all keyed by small integers and
+ * live in inner loops. FlatMap stores entries inline in a power-of-two slot
  * array with linear probing, a strong integer mixer (so sequential
  * block numbers do not cluster), and tombstone deletion.
  *

@@ -109,16 +109,16 @@ System::System(Workload &workload, const SystemParams &params)
     if ((params_.nodes & (params_.nodes - 1)) == 0)
         homeMask_ = params_.nodes - 1;
 
-    // Pre-size the hot tables: the tracker slices and the chaining
-    // books can hold at most one entry per footprint block, spread
-    // over the hubs by address interleaving.
+    // Each hub's tracker slice holds the blocks interleaved onto it
+    // (Topology::hubOf) and indexes them hub-locally. Pre-size the
+    // chaining books: they can hold at most one entry per footprint
+    // block, spread over the hubs by the same interleaving.
     std::size_t blocks = static_cast<std::size_t>(
         workload_.totalFootprint() / blockBytes);
     std::size_t blocks_per_hub = blocks / topo_.hubs() + 1;
     trackers_.reserve(topo_.hubs());
     for (unsigned h = 0; h < topo_.hubs(); ++h) {
-        trackers_.emplace_back(params_.nodes);
-        trackers_[h].reserve(blocks_per_hub);
+        trackers_.emplace_back(params_.nodes, topo_.hubs());
         ownerDataAt_[h].reserve(blocks_per_hub / 4);
         memReadyAt_[h].reserve(blocks_per_hub / 4);
     }

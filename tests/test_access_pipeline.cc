@@ -155,8 +155,9 @@ TEST(AccessPipeline, NonMruRepeatRefreshesExactlyOneWord)
     EXPECT_EQ(caches.l0Absorbed(), absorbed_before);  // not absorbed
     // One LRU touch (clock advanced once), still zero walks.
     EXPECT_EQ(caches.debugL1Clock(), clock_before + 1);
-    if (NodeCaches::walkCounting)
+    if (NodeCaches::walkCounting) {
         EXPECT_EQ(caches.l1TagWalks(), l1_before);
+    }
 }
 
 // ------------------------------------------------------ L0 staleness

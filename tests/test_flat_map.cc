@@ -130,8 +130,9 @@ TEST(FlatMap, RandomizedDifferentialAgainstUnorderedMap)
             auto fit = flat.find(key);
             auto rit = ref.find(key);
             ASSERT_EQ(fit == flat.end(), rit == ref.end());
-            if (rit != ref.end())
+            if (rit != ref.end()) {
                 ASSERT_EQ(fit->second, rit->second);
+            }
             break;
           }
         }

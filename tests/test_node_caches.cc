@@ -210,8 +210,9 @@ TEST(NodeCachesHandle, UpgradeFillViaHandleIsWalkFree)
     std::uint64_t l2_before = caches.l2TagWalks();
     auto fill = caches.fill(0x1000, MosiState::Modified, &handle);
     EXPECT_FALSE(fill.evicted);
-    if (NodeCaches::walkCounting)
+    if (NodeCaches::walkCounting) {
         EXPECT_EQ(caches.l2TagWalks(), l2_before);
+    }
     EXPECT_EQ(caches.stateOf(blockOf(0x1000)), MosiState::Modified);
     EXPECT_EQ(caches.access(0x1000, true).need, CoherenceNeed::None);
 }

@@ -664,8 +664,9 @@ TEST(SweepSupervisor, FreshAndCrashResumedTablesAreBitIdentical)
     std::fseek(f, 0, SEEK_END);
     long size = std::ftell(f);
     std::fclose(f);
-    if (size > 8)
+    if (size > 8) {
         ASSERT_EQ(truncate(crash_path.c_str(), size - 5), 0);
+    }
 
     // Resume fault-free: completes the matrix, superseding failed
     // rows and re-running the truncated one.
