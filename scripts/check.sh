@@ -71,6 +71,25 @@ if ! grep -q "3 tests from 1 test suite ran" <<< "$WALK_OUT"; then
 fi
 echo "walk-counter invariants: L1-hit/L0/absorbed paths OK"
 
+# Reference-generation exactness, named in the log the same way: the
+# guide-table geometric draw, the select-based alias pick and the
+# counted region pick each equal their plain scan value for value, and
+# the first 100k references of every processor hash to constants
+# recorded with the scans (oltp and barnes at 16 nodes, oltp at 256).
+GEO_OUT=$(./build/test_rng --gtest_filter='Means/GeometricExact.*')
+if ! grep -q "8 tests from 1 test suite ran" <<< "$GEO_OUT"; then
+    echo "check.sh: geometric exactness tests did not run (filter" \
+         "out of sync with test_rng?)" >&2
+    exit 1
+fi
+GEN_OUT=$(./build/test_workload --gtest_filter='Zipf.AliasPickEqualsBranchingReference:Workload.RegionPickEqualsFirstAboveScan:Workload.GoldenStream*')
+if ! grep -q "5 tests from 2 test suites ran" <<< "$GEN_OUT"; then
+    echo "check.sh: generation exactness/golden-stream tests did not" \
+         "run (filter out of sync with test_workload?)" >&2
+    exit 1
+fi
+echo "reference generation: exact draws, golden streams OK"
+
 # Coherence-oracle legs (see header item 6). Quick runs: the oracle's
 # value here is the invariants, not the throughput.
 ORACLE_JSON=build/BENCH_hotpath_oracle.json

@@ -53,21 +53,26 @@ Rng::geometric(double mean)
 GeometricSampler::GeometricSampler(double mean) : mean_(mean)
 {
     dsp_assert(mean >= 1.0, "geometric mean must be >= 1");
-    if (mean == 1.0)
-        return;
     double p = 1.0 / mean;
+    logSurvive_ = std::log1p(-p);
     double survive = 1.0;
     for (std::size_t k = 0; k < tableSize; ++k) {
         survive *= 1.0 - p;         // (1-p)^(k+1)
         cdf_[k] = 1.0 - survive;    // P(X <= k+1)
+    }
+    std::size_t k = 0;
+    for (std::size_t b = 0; b < guideSize; ++b) {
+        double edge = static_cast<double>(b) / guideSize;
+        while (k < tableSize && cdf_[k] <= edge)
+            ++k;
+        guide_[b] = static_cast<std::uint8_t>(k);
     }
 }
 
 std::uint64_t
 GeometricSampler::tailSample(double u) const
 {
-    double p = 1.0 / mean_;
-    double v = std::log1p(-u) / std::log1p(-p);
+    double v = std::log1p(-u) / logSurvive_;
     std::uint64_t k = static_cast<std::uint64_t>(v) + 1;
     return k == 0 ? 1 : k;
 }

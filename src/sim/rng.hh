@@ -123,11 +123,13 @@ class Rng
  * Repeated geometric draws with a fixed mean (per-reference work
  * counts, episode lengths). Rng::geometric costs two log1p calls per
  * draw; this caches the distribution in a small cumulative table and
- * answers the common short draws with a cache-resident scan, falling
- * back to the exact log form only in the far tail. Draws follow the
- * same inverse-CDF mapping as Rng::geometric(mean); floating-point
- * rounding at bin boundaries can differ by one in rare cases, so the
- * two are distribution-equivalent, not draw-identical.
+ * inverts it by indexed search (Chen & Asau): a 256-entry guide table
+ * maps the draw's top bits to the first table slot it can land in, so
+ * the scan almost always stops at its first compare instead of taking
+ * a data-dependent number of steps. Draws past the table fall back to
+ * the exact log form. Rounding at bin boundaries can differ from
+ * Rng::geometric(mean) by one in rare cases, so the two are
+ * distribution-equivalent, not draw-identical.
  */
 class GeometricSampler
 {
@@ -135,31 +137,50 @@ class GeometricSampler
     /** mean >= 1; mean == 1 always draws 1. */
     explicit GeometricSampler(double mean);
 
+    /** One draw; mean == 1 consumes no randomness. */
     std::uint64_t
-    sample(Rng &rng)
+    sample(Rng &rng) const
     {
         if (mean_ == 1.0)
             return 1;
-        double u = rng.uniformReal();
-        if (u < cdf_[tableSize - 1]) {
-            // The table covers all but the far tail of the mass.
-            std::uint64_t k = 0;
-            while (u >= cdf_[k])
-                ++k;
-            return k + 1;
-        }
-        return tailSample(u);
+        return sampleAt(rng.uniformReal());
+    }
+
+    /**
+     * The draw for uniform u in [0, 1): the smallest k with
+     * u < cdf_[k - 1], or the log tail past the table. Exact against
+     * the plain scan from slot 0: u * guideSize only rescales the
+     * exponent, so its floor b is exact, and every slot the guide
+     * skips has cdf_ <= b / guideSize <= u (cdf_ is nondecreasing),
+     * so the plain scan would have stepped over it too.
+     */
+    std::uint64_t
+    sampleAt(double u) const
+    {
+        if (u >= cdf_[tableSize - 1])
+            return tailSample(u);
+        // guide_ <= tableSize - 1 here, so the scan stops in the table.
+        std::size_t k = guide_[static_cast<std::size_t>(u * guideSize)];
+        while (u >= cdf_[k])
+            ++k;
+        return k + 1;
     }
 
     double mean() const { return mean_; }
 
   private:
+    /** Keep at 32: the table and the log tail round differently at
+     *  bin edges, so moving the cutoff would change draws. */
     static constexpr std::size_t tableSize = 32;
+    static constexpr std::size_t guideSize = 256;
 
     std::uint64_t tailSample(double u) const;
 
     double mean_;
+    double logSurvive_ = 0.0;  ///< log1p(-1 / mean), for the tail
     std::array<double, tableSize> cdf_{};  ///< cdf_[k] = P(X <= k+1)
+    /** guide_[b] = number of cdf_ entries <= b / guideSize. */
+    std::array<std::uint8_t, guideSize> guide_{};
 };
 
 } // namespace dsp

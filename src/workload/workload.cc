@@ -39,11 +39,14 @@ Workload::pickRegion(Rng &rng) const
     dsp_assert(!regions_.empty(), "workload '%s' has no regions",
                name_.c_str());
     double u = rng.uniformReal() * cumWeights_.back();
-    // Linear scan: region counts are single digit.
-    for (std::size_t i = 0; i < cumWeights_.size(); ++i)
-        if (u < cumWeights_[i])
-            return i;
-    return cumWeights_.size() - 1;
+    // The first i with u < cumWeights_[i], else the last region, as a
+    // fixed-length count: cumWeights_ is nondecreasing, so the entries
+    // <= u form a prefix and its length is that index. Counting over
+    // all but the last entry caps it at the last region.
+    std::size_t i = 0;
+    for (std::size_t j = 0; j + 1 < cumWeights_.size(); ++j)
+        i += cumWeights_[j] <= u;
+    return i;
 }
 
 void

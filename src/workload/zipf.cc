@@ -73,11 +73,7 @@ ZipfSampler::sample(Rng &rng) const
         auto col = static_cast<std::uint64_t>(u);
         if (col >= n_)
             col = n_ - 1;  // guard against u == 1.0 rounding
-        double coin = u - static_cast<double>(col);
-        const AliasCell &cell = alias_[col];
-        return coin < static_cast<double>(cell.threshold)
-                   ? col
-                   : cell.alias;
+        return pick(col, u - static_cast<double>(col), alias_[col]);
     }
     return sampleCdf(rng);
 }

@@ -6,12 +6,13 @@
  * paper: the hottest ~1000 blocks cover most cache-to-cache misses).
  * We use an exact discrete Zipf: P(rank r) proportional to 1/(r+1)^theta.
  * Small tables sample in O(1) by Walker's alias method (one uniform
- * draw, one table load that stays cache-resident); large tables keep
- * the CDF binary search, whose probe path through the hot head is far
- * cache-friendlier than the alias method's uniformly-random column
- * access. This keeps the head realistic (no single mega-hot item,
- * unlike the continuous power-law shortcut) while preserving the heavy
- * tail that produces capacity misses.
+ * draw, one table load, and a branch-free pick between the column and
+ * its alias); large tables keep the CDF binary search, whose probe
+ * path through the hot head is far cache-friendlier than the alias
+ * method's uniformly-random column access. This keeps the head
+ * realistic (no single mega-hot item, unlike the continuous power-law
+ * shortcut) while preserving the heavy tail that produces capacity
+ * misses.
  */
 
 #ifndef DSP_WORKLOAD_ZIPF_HH
@@ -78,11 +79,8 @@ class ZipfSampler
     {
         if (pending.cell == nullptr)
             return pending.value;
-        const auto *cell =
-            static_cast<const AliasCell *>(pending.cell);
-        return pending.coin < static_cast<double>(cell->threshold)
-                   ? pending.value
-                   : cell->alias;
+        return pick(pending.value, pending.coin,
+                    *static_cast<const AliasCell *>(pending.cell));
     }
 
     /** Probability mass of the `k` hottest items (for tests). */
@@ -102,6 +100,19 @@ class ZipfSampler
         float threshold;
         std::uint32_t alias;
     };
+
+    /** The column if the coin lands below the cell's threshold, else
+     *  its alias. The coin is uniform in [0, 1), so a branch on it
+     *  mispredicts as often as the two outcomes are mixed; the
+     *  comparison is turned into an all-ones or all-zeros mask
+     *  instead, which selects the same value without a jump. */
+    static std::uint64_t
+    pick(std::uint64_t col, double coin, const AliasCell &cell)
+    {
+        const std::uint64_t take_col = -static_cast<std::uint64_t>(
+            coin < static_cast<double>(cell.threshold));
+        return (col & take_col) | (cell.alias & ~take_col);
+    }
 
     /** Largest table the alias method is built for (512 KiB of cells);
      *  beyond that the CDF search wins on cache behaviour. */

@@ -128,5 +128,89 @@ INSTANTIATE_TEST_SUITE_P(Means, GeometricMean,
                          ::testing::Values(1.0, 1.5, 2.0, 4.0, 8.0,
                                            16.0, 64.0));
 
+/**
+ * The geometric table draw as a plain linear scan from slot 0 plus the
+ * log tail, recomputing log1p(-p) per draw: the reference the guided
+ * GeometricSampler must match value for value.
+ */
+struct LinearGeometric {
+    double mean;
+    double p;
+    double cdf[32];
+
+    explicit LinearGeometric(double m) : mean(m), p(1.0 / m)
+    {
+        double survive = 1.0;
+        for (double &c : cdf) {
+            survive *= 1.0 - p;
+            c = 1.0 - survive;
+        }
+    }
+
+    std::uint64_t
+    draw(double u) const
+    {
+        if (mean == 1.0)
+            return 1;
+        if (u < cdf[31]) {
+            std::uint64_t k = 0;
+            while (u >= cdf[k])
+                ++k;
+            return k + 1;
+        }
+        double v = std::log1p(-u) / std::log1p(-p);
+        std::uint64_t k = static_cast<std::uint64_t>(v) + 1;
+        return k == 0 ? 1 : k;
+    }
+};
+
+class GeometricExact : public ::testing::TestWithParam<double>
+{
+};
+
+TEST_P(GeometricExact, GuidedDrawEqualsLinearScan)
+{
+    const double mean = GetParam();
+    const GeometricSampler fast(mean);
+    const LinearGeometric ref(mean);
+
+    // Inputs where a guide or scan slip would show: every guide
+    // bucket's lower edge, every table edge and its two neighbours,
+    // and the tail from the last edge up to the largest draw below 1.
+    std::vector<double> us;
+    for (int b = 0; b < 256; ++b)
+        us.push_back(b / 256.0);
+    for (double c : ref.cdf) {
+        us.push_back(c);
+        us.push_back(std::nextafter(c, 0.0));
+        us.push_back(std::nextafter(c, 2.0));
+    }
+    const double last = ref.cdf[31];
+    for (double t : {0.0, 0.25, 0.5, 0.75, 0.999})
+        us.push_back(last + (1.0 - last) * t);
+    us.push_back(std::nextafter(1.0, 0.0));
+    for (double u : us) {
+        if (u < 0.0 || u >= 1.0)
+            continue;
+        ASSERT_EQ(fast.sampleAt(u), ref.draw(u))
+            << "mean " << mean << " u " << u;
+    }
+
+    // Random draws through sample(): same values, and the same
+    // randomness consumed (none at all when mean == 1).
+    Rng a(29), b(29);
+    for (int i = 0; i < 1000000; ++i) {
+        std::uint64_t want =
+            mean == 1.0 ? 1 : ref.draw(b.uniformReal());
+        ASSERT_EQ(fast.sample(a), want) << "mean " << mean << " draw "
+                                        << i;
+    }
+    EXPECT_EQ(a.next(), b.next());
+}
+
+INSTANTIATE_TEST_SUITE_P(Means, GeometricExact,
+                         ::testing::Values(1.0, 1.5, 2.0, 4.5, 8.0,
+                                           15.0, 64.0, 1e6));
+
 } // namespace
 } // namespace dsp

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <unordered_map>
 
@@ -70,6 +71,90 @@ TEST(Zipf, InvalidParamsPanic)
     EXPECT_THROW(ZipfSampler(0, 0.5), std::runtime_error);
     EXPECT_THROW(ZipfSampler(10, -0.1), std::runtime_error);
     EXPECT_THROW(ZipfSampler(10, 2.5), std::runtime_error);
+}
+
+/**
+ * Walker alias sampling as built and drawn with a branch on the coin:
+ * the reference the select-based ZipfSampler pick must match value for
+ * value (same table construction, same single draw per sample).
+ */
+struct AliasReference {
+    std::uint64_t n;
+    std::vector<float> threshold;
+    std::vector<std::uint32_t> alias;
+
+    AliasReference(std::uint64_t items, double theta)
+        : n(items), threshold(items), alias(items)
+    {
+        std::vector<double> cdf(n);
+        double sum = 0.0;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            sum += std::pow(static_cast<double>(i + 1), -theta);
+            cdf[i] = sum;
+        }
+        for (double &v : cdf)
+            v *= 1.0 / sum;
+        cdf.back() = 1.0;
+        std::vector<double> scaled(n);
+        double prev = 0.0;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            scaled[i] = (cdf[i] - prev) * static_cast<double>(n);
+            prev = cdf[i];
+        }
+        std::vector<std::uint64_t> small, large;
+        for (std::uint64_t i = 0; i < n; ++i)
+            (scaled[i] < 1.0 ? small : large).push_back(i);
+        while (!small.empty() && !large.empty()) {
+            std::uint64_t s = small.back();
+            std::uint64_t l = large.back();
+            small.pop_back();
+            large.pop_back();
+            threshold[s] = static_cast<float>(scaled[s]);
+            alias[s] = static_cast<std::uint32_t>(l);
+            scaled[l] -= 1.0 - scaled[s];
+            (scaled[l] < 1.0 ? small : large).push_back(l);
+        }
+        for (auto *rest : {&small, &large}) {
+            for (std::uint64_t i : *rest) {
+                threshold[i] = 1.0f;
+                alias[i] = static_cast<std::uint32_t>(i);
+            }
+        }
+    }
+
+    std::uint64_t
+    sample(Rng &rng) const
+    {
+        double u = rng.uniformReal() * static_cast<double>(n);
+        auto col = static_cast<std::uint64_t>(u);
+        if (col >= n)
+            col = n - 1;
+        double coin = u - static_cast<double>(col);
+        return coin < static_cast<double>(threshold[col]) ? col
+                                                          : alias[col];
+    }
+};
+
+TEST(Zipf, AliasPickEqualsBranchingReference)
+{
+    for (std::uint64_t n : {7ull, 1000ull, 8000ull, 65536ull}) {
+        for (double theta : {0.4, 0.9, 1.2}) {
+            const ZipfSampler z(n, theta);
+            const AliasReference ref(n, theta);
+            Rng whole(31), split(31), want(31);
+            for (int i = 0; i < 200000; ++i) {
+                std::uint64_t expect = ref.sample(want);
+                ASSERT_EQ(z.sample(whole), expect)
+                    << "n " << n << " theta " << theta << " draw " << i;
+                ASSERT_EQ(z.finish(z.begin(split)), expect)
+                    << "n " << n << " theta " << theta << " draw " << i;
+            }
+            // Both forms consumed exactly the reference's draws.
+            const std::uint64_t after = want.next();
+            EXPECT_EQ(whole.next(), after);
+            EXPECT_EQ(split.next(), after);
+        }
+    }
 }
 
 TEST(WorkingSet, HotProbControlsHitFraction)
@@ -327,6 +412,45 @@ TEST(Workload, RefillBatchingIsDrawIdentical)
     }
 }
 
+TEST(Workload, RegionPickEqualsFirstAboveScan)
+{
+    // With no work draws and one-reference episodes, every reference
+    // is one region pick followed by that region's gen(); HotRegion
+    // holds no per-processor state, so a twin set of regions driven by
+    // the plain "first cumulative weight above u" scan must reproduce
+    // the stream exactly. The weights include near-ties and one too
+    // small to move the running sum.
+    const std::vector<double> weights = {3.0, 1e-18, 2.0, 5.0, 0.5,
+                                         7.0, 1.0,   1.0, 4.0};
+    Workload w("pick", kNodes, 0.0, 5, 1.0);
+    std::vector<std::unique_ptr<HotRegion>> twins;
+    std::vector<double> cum;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        Addr base = 0x1000000 * (i + 1);
+        HotRegion::Config cfg{0.8, 0.3};
+        w.addRegion(std::make_unique<HotRegion>(
+                        regionParams(base, 64 * 1024), kNodes, cfg),
+                    weights[i]);
+        twins.push_back(std::make_unique<HotRegion>(
+            regionParams(base, 64 * 1024), kNodes, cfg));
+        cum.push_back((cum.empty() ? 0.0 : cum.back()) + weights[i]);
+    }
+    for (NodeId p : {NodeId(0), NodeId(9)}) {
+        Rng rng(5, p + 1);
+        for (int i = 0; i < 50000; ++i) {
+            double u = rng.uniformReal() * cum.back();
+            std::size_t r = 0;
+            while (r + 1 < cum.size() && !(u < cum[r]))
+                ++r;
+            RegionRef want = twins[r]->gen(p, rng);
+            MemRef got = w.next(p);
+            ASSERT_EQ(got.addr, want.addr) << "proc " << p << " ref " << i;
+            ASSERT_EQ(got.pc, want.pc);
+            ASSERT_EQ(got.write, want.write);
+        }
+    }
+}
+
 TEST(Workload, MeanWorkApproximatelyHonoured)
 {
     Workload w("test", kNodes, 4.0, 1);
@@ -376,6 +500,52 @@ TEST(Workload, AllPresetsScaleTo256Nodes)
             }
         }
     }
+}
+
+/**
+ * Golden-stream pin: a hash of the first 100k references of every
+ * processor, at the benchmark's footprint scale and held-out seed 11.
+ * The samplers' fast paths (guide-table geometric draws, select-based
+ * alias picks, the counted region pick) must return exactly the values
+ * of the plain inverse-CDF scans they replaced; a changed draw anywhere
+ * in a stream changes its hash. The constants were recorded with the
+ * linear-scan samplers, so this also pins the streams across compilers
+ * and instruction sets (every CI leg runs it).
+ */
+std::uint64_t
+streamHash(const std::string &preset, NodeId nodes)
+{
+    auto w = makeWorkload(preset, nodes, 11, 0.25);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x100000001b3ull;
+        h ^= h >> 29;
+    };
+    for (NodeId p = 0; p < nodes; ++p) {
+        for (int i = 0; i < 100000; ++i) {
+            MemRef ref = w->next(p);
+            mix(ref.addr);
+            mix(ref.pc);
+            mix((static_cast<std::uint64_t>(ref.work) << 1) |
+                (ref.write ? 1 : 0));
+        }
+    }
+    return h;
+}
+
+TEST(Workload, GoldenStreamOltp16)
+{
+    EXPECT_EQ(streamHash("oltp", 16), 0x497d5e833d272e33ull);
+}
+
+TEST(Workload, GoldenStreamBarnes16)
+{
+    EXPECT_EQ(streamHash("barnes", 16), 0x9dc87776da39b047ull);
+}
+
+TEST(Workload, GoldenStreamOltp256)
+{
+    EXPECT_EQ(streamHash("oltp", 256), 0x2bf405a224d81905ull);
 }
 
 TEST(Workload, UnknownPresetFatals)
