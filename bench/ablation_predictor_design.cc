@@ -47,7 +47,7 @@ evalStickyDegree(const Trace &trace, NodeId nodes,
 
     std::uint64_t msgs = 0, indirections = 0, bytes = 0;
     for (std::size_t i = 0; i < trace.records.size(); ++i) {
-        MissInfo miss = trace.records[i].toMissInfo(nodes);
+        MissInfo miss = trace.missInfo(i);
         DestinationSet predicted = predictors[miss.requester]->predict(
             miss.addr, miss.pc, miss.type, miss.requester, miss.home);
         MissOutcome out = protocol.handleMiss(miss, predicted);

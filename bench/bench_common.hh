@@ -136,13 +136,16 @@ traceCacheKey(const char *s)
 inline const Trace &
 getOrCollectTrace(const Options &opt, const std::string &name)
 {
+    // The format version is part of the name, so a cache written in
+    // another format is never opened (readTrace rejects it).
     char file[512];
     std::snprintf(file, sizeof(file),
-                  "traces/%s_n%u_s%llu_sc%.3f_w%llu_m%llu.dsptrace",
+                  "traces/%s_n%u_s%llu_sc%.3f_w%llu_m%llu_v%u.dsptrace",
                   name.c_str(), opt.nodes,
                   static_cast<unsigned long long>(opt.seed), opt.scale,
                   static_cast<unsigned long long>(opt.warmupMisses),
-                  static_cast<unsigned long long>(opt.measureMisses));
+                  static_cast<unsigned long long>(opt.measureMisses),
+                  traceVersion);
 
     // The file name encodes the full parameter tuple, so its hash is
     // the memo key. (Cold table; FlatMap to finish the repo-wide

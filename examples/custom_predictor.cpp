@@ -120,7 +120,7 @@ evaluateCustom(const Trace &trace, const PredictorConfig &config)
 
     std::uint64_t msgs = 0, indirections = 0, bytes = 0;
     for (std::size_t i = 0; i < trace.records.size(); ++i) {
-        MissInfo miss = trace.records[i].toMissInfo(config.numNodes);
+        MissInfo miss = trace.missInfo(i);
         DestinationSet predicted = predictors[miss.requester]->predict(
             miss.addr, miss.pc, miss.type, miss.requester, miss.home);
         MissOutcome out = protocol.handleMiss(miss, predicted);

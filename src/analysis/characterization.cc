@@ -1,11 +1,12 @@
 #include "analysis/characterization.hh"
 
-#include <bit>
+#include "sim/logging.hh"
 
 namespace dsp {
 
 WorkloadCharacterization::WorkloadCharacterization(NodeId num_nodes)
     : numNodes_(num_nodes),
+      words_((num_nodes + 63) / 64),
       figure2Reads_(4),   // 0, 1, 2, 3+
       figure2Writes_(4)
 {
@@ -31,29 +32,49 @@ WorkloadCharacterization::beginMeasurement(
     warmupInstructions_ = instructions_so_far;
 }
 
+WorkloadCharacterization::BlockInfo &
+WorkloadCharacterization::touch(Addr addr, NodeId p)
+{
+    dsp_assert(p < numNodes_, "node %u out of range", p);
+    auto [it, inserted] = blocks_.try_emplace(blockOf(addr));
+    BlockInfo &info = it->second;
+    if (inserted) {
+        info.touched = static_cast<std::uint32_t>(blocks_.size() - 1);
+        touchedWords_.resize(touchedWords_.size() + words_);
+    }
+    touchedWords_[std::size_t{info.touched} * words_ + (p >> 6)] |=
+        std::uint64_t{1} << (p & 63);
+    macroblocks_.insert(macroblockOf(addr));
+    return info;
+}
+
+unsigned
+WorkloadCharacterization::touchers(const BlockInfo &info) const
+{
+    return DestinationSet::fromWords(
+               &touchedWords_[std::size_t{info.touched} * words_], words_)
+        .count();
+}
+
 void
 WorkloadCharacterization::onReference(NodeId p, const MemRef &ref)
 {
-    BlockInfo &info = blocks_[blockOf(ref.addr)];
-    info.touchedMask |= std::uint64_t{1} << p;
-    macroblocks_.insert(macroblockOf(ref.addr));
+    touch(ref.addr, p);
 }
 
 void
 WorkloadCharacterization::onMiss(const TraceRecord &record,
                                  const SharingTracker::Transaction &txn)
 {
-    (void)txn;
-    onMissRecord(record, measuring_);
+    onMissRecord(record, txn.required, measuring_);
 }
 
 void
 WorkloadCharacterization::onMissRecord(const TraceRecord &record,
+                                       const DestinationSet &required_set,
                                        bool measured)
 {
-    BlockInfo &info = blocks_[blockOf(record.addr)];
-    info.touchedMask |= std::uint64_t{1} << record.requester;
-    macroblocks_.insert(macroblockOf(record.addr));
+    BlockInfo &info = touch(record.addr, record.requester);
 
     if (!measured)
         return;
@@ -62,7 +83,7 @@ WorkloadCharacterization::onMissRecord(const TraceRecord &record,
     info.misses += 1;
     missPcs_.insert(record.pc);
 
-    unsigned required = record.required().count();
+    unsigned required = required_set.count();
     if (record.requestType() == RequestType::GetShared)
         figure2Reads_.record(required);
     else
@@ -86,7 +107,8 @@ void
 WorkloadCharacterization::absorbTrace(const Trace &trace)
 {
     for (std::size_t i = 0; i < trace.records.size(); ++i)
-        onMissRecord(trace.records[i], i >= trace.warmupRecords);
+        onMissRecord(trace.records[i], trace.required(i),
+                     i >= trace.warmupRecords);
 }
 
 WorkloadCharacterization::Table2Row
@@ -120,7 +142,7 @@ WorkloadCharacterization::blocksTouchedBy() const
 {
     stats::Histogram hist(numNodes_ + 1);
     for (const auto &kv : blocks_)
-        hist.record(std::popcount(kv.second.touchedMask));
+        hist.record(touchers(kv.second));
     return hist;
 }
 
@@ -130,8 +152,7 @@ WorkloadCharacterization::missesToBlocksTouchedBy() const
     stats::Histogram hist(numNodes_ + 1);
     for (const auto &kv : blocks_)
         if (kv.second.misses > 0)
-            hist.record(std::popcount(kv.second.touchedMask),
-                        kv.second.misses);
+            hist.record(touchers(kv.second), kv.second.misses);
     return hist;
 }
 

@@ -22,7 +22,7 @@ namespace dsp {
  *
  * Attach with attach(); call beginMeasurement() after warmup so the
  * rate-based statistics (Table 2 columns 4-7, Figures 2 and 4) cover
- * only the measured interval. Footprints and per-block sharing masks
+ * only the measured interval. Footprints and per-block toucher sets
  * (Table 2 columns 2-3, Figure 3) accumulate over the whole run, like
  * the paper's whole-execution analysis.
  */
@@ -51,8 +51,9 @@ class WorkloadCharacterization
      */
     void absorbTrace(const Trace &trace);
 
-    /** Record-level sink used by absorbTrace. */
-    void onMissRecord(const TraceRecord &record, bool measured);
+    /** Record-level sink used by absorbTrace and onMiss. */
+    void onMissRecord(const TraceRecord &record,
+                      const DestinationSet &required, bool measured);
 
     /** Table 2: one row of workload properties. */
     struct Table2Row {
@@ -99,12 +100,23 @@ class WorkloadCharacterization
     bool measuring_ = false;
     std::uint64_t warmupInstructions_ = 0;
 
-    /** Per-block: which processors ever touched it + measured misses. */
+    /** Per-block: where its toucher set lives + measured misses. */
     struct BlockInfo {
-        std::uint64_t touchedMask = 0;
+        std::uint32_t touched = 0;  ///< block ordinal in touchedWords_
         std::uint32_t misses = 0;
     };
+
+    /** Note that processor p touched addr's block; returns its info. */
+    BlockInfo &touch(Addr addr, NodeId p);
+
+    /** Number of processors that touched the block. */
+    unsigned touchers(const BlockInfo &info) const;
+
+    unsigned words_;  ///< ceil(numNodes / 64) words per toucher set
     FlatMap<BlockId, BlockInfo> blocks_;
+    /** Which processors ever touched each block: words_ words per
+     *  block, in first-touch order (blocks are never dropped). */
+    std::vector<std::uint64_t> touchedWords_;
     FlatSet<std::uint64_t> macroblocks_;
     FlatSet<Addr> missPcs_;
 

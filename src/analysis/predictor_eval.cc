@@ -25,9 +25,8 @@ PredictorEvaluator::replay(
     std::uint64_t predicted_size_sum = 0;
 
     for (std::size_t i = 0; i < trace.records.size(); ++i) {
-        const TraceRecord &record = trace.records[i];
         const bool measured = i >= trace.warmupRecords;
-        MissInfo miss = record.toMissInfo(numNodes_);
+        MissInfo miss = trace.missInfo(i);
 
         DestinationSet predicted;
         if (predictors) {

@@ -71,7 +71,6 @@ TraceCollector::handleMiss(NodeId p, const MemRef &ref, bool is_write)
     TraceRecord record;
     record.addr = ref.addr;
     record.pc = ref.pc;
-    record.requiredMask = txn.required.mask();
     record.requester = p;
     record.responder = txn.responder == invalidNode
                            ? TraceRecord::memoryResponder
@@ -125,9 +124,12 @@ TraceCollector::collect(std::uint64_t warmup, std::uint64_t measured)
     trace.numNodes = numNodes_;
     trace.records.reserve(warmup + measured);
 
+    trace.requiredWords.reserve((warmup + measured) *
+                                trace.wordsPerRecord());
+
     addMissObserver([&trace](const TraceRecord &record,
-                             const SharingTracker::Transaction &) {
-        trace.records.push_back(record);
+                             const SharingTracker::Transaction &txn) {
+        trace.append(record, txn.required);
     });
 
     run(warmup);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Trace collection (Section 2.1): drives a workload's reference
- * streams through the 16-node cache hierarchy under a MOSI protocol
+ * streams through the per-node cache hierarchy under a MOSI protocol
  * and captures the stream of annotated L2 misses.
  *
  * Processor interleaving is instruction-count driven: at every step
@@ -33,7 +33,8 @@ class TraceCollector
     using RefObserver =
         std::function<void(NodeId, const MemRef &)>;
 
-    /** Observer of every L2 miss with its serialized transaction. */
+    /** Observer of every L2 miss with its serialized transaction
+     *  (the miss's required set is txn.required). */
     using MissObserver = std::function<void(
         const TraceRecord &, const SharingTracker::Transaction &)>;
 

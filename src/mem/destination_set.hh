@@ -5,10 +5,9 @@
  * This is the central abstraction of the paper (the "multicast mask").
  * Represented as a fixed-size array of 64-bit words covering maxNodes
  * bits (256 nodes -> 4 words, 32 bytes), with SWAR popcount/iterate.
- * Systems up to 64 nodes live entirely in word 0, which keeps the
- * legacy single-word mask()/fromMask() surface (traces, predictor
- * tables, tests) valid for every machine the paper evaluates plus the
- * 64-node scale-up.
+ * Code that stores many sets (trace files, characterization) keeps
+ * only the ceil(N/64) words an N-node machine needs, in a plane of
+ * words, and moves between the two forms with words() and fromWords().
  */
 
 #ifndef DSP_MEM_DESTINATION_SET_HH
@@ -37,25 +36,26 @@ class DestinationSet
 
     constexpr DestinationSet() = default;
 
-    /**
-     * Construct from a raw 64-bit mask (bit i <=> node i). Only spans
-     * nodes 0..63; word-array sets beyond that are built with add() or
-     * fromWords().
-     */
-    static constexpr DestinationSet
-    fromMask(std::uint64_t mask)
-    {
-        DestinationSet s;
-        s.words_[0] = mask;
-        return s;
-    }
-
     /** Construct from a full word array (word w bit b <=> node 64w+b). */
     static constexpr DestinationSet
     fromWords(const Words &words)
     {
         DestinationSet s;
         s.words_ = words;
+        return s;
+    }
+
+    /**
+     * Construct from the first `count` words of a set stored in a
+     * plane (word w bit b <=> node 64w+b); the words past `count` are
+     * empty.
+     */
+    static constexpr DestinationSet
+    fromWords(const std::uint64_t *words, unsigned count)
+    {
+        DestinationSet s;
+        for (unsigned w = 0; w < count; ++w)
+            s.words_[w] = words[w];
         return s;
     }
 
@@ -84,20 +84,6 @@ class DestinationSet
         DestinationSet s;
         s.add(node);
         return s;
-    }
-
-    /**
-     * Low-word accessor: the raw mask over nodes 0..63. Callers that
-     * persist this single word (trace records, predictor training
-     * tables) only handle <= 64-node sets; assert nothing is lost.
-     */
-    std::uint64_t
-    mask() const
-    {
-        for (unsigned w = 1; w < wordCount; ++w)
-            dsp_assert(words_[w] == 0,
-                       "mask() on a set with nodes >= 64");
-        return words_[0];
     }
 
     /** Full word array, for callers sized off maxNodes. */

@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <system_error>
 
 #include "sim/logging.hh"
 
@@ -11,7 +13,6 @@ namespace dsp {
 namespace {
 
 constexpr std::uint64_t traceMagic = 0x445350545243ull;  // "DSPTRC"
-constexpr std::uint32_t traceVersion = 1;
 
 struct TraceHeader {
     std::uint64_t magic = traceMagic;
@@ -66,6 +67,13 @@ writeTrace(const Trace &trace, const std::string &path)
         dsp_warn("short write of trace records to '%s'", path.c_str());
         return false;
     }
+    if (!trace.requiredWords.empty() &&
+        std::fwrite(trace.requiredWords.data(), sizeof(std::uint64_t),
+                    trace.requiredWords.size(), f.get()) !=
+            trace.requiredWords.size()) {
+        dsp_warn("short write of required sets to '%s'", path.c_str());
+        return false;
+    }
     return true;
 }
 
@@ -84,11 +92,30 @@ readTrace(const std::string &path)
     if (header.version != traceVersion)
         dsp_fatal("trace version %u unsupported (expected %u)",
                   header.version, traceVersion);
+    // The node count sizes the word plane below, so bound it first.
+    if (header.numNodes == 0 || header.numNodes > maxNodes)
+        dsp_fatal("trace node count %u outside 1..%u in '%s'",
+                  header.numNodes, maxNodes, path.c_str());
 
     Trace trace;
+    trace.numNodes = header.numNodes;
+
+    // The record count sizes both vectors below, so bound it by the
+    // bytes the file holds before allocating.
+    std::error_code ec;
+    const std::uint64_t bytes = std::filesystem::file_size(path, ec);
+    const std::uint64_t record_bytes =
+        sizeof(TraceRecord) +
+        sizeof(std::uint64_t) * trace.wordsPerRecord();
+    if (ec || header.recordCount >
+                  (bytes - sizeof(header)) / record_bytes) {
+        dsp_fatal("trace '%s' is shorter than its %llu records",
+                  path.c_str(),
+                  static_cast<unsigned long long>(header.recordCount));
+    }
+
     trace.workloadName.assign(
         header.name, strnlen(header.name, sizeof(header.name)));
-    trace.numNodes = header.numNodes;
     trace.totalInstructions = header.totalInstructions;
     trace.warmupRecords = header.warmupRecords;
     trace.warmupInstructions = header.warmupInstructions;
@@ -97,6 +124,14 @@ readTrace(const std::string &path)
         std::fread(trace.records.data(), sizeof(TraceRecord),
                    header.recordCount, f.get()) != header.recordCount) {
         dsp_fatal("truncated trace records in '%s'", path.c_str());
+    }
+    trace.requiredWords.resize(header.recordCount *
+                               trace.wordsPerRecord());
+    if (!trace.requiredWords.empty() &&
+        std::fread(trace.requiredWords.data(), sizeof(std::uint64_t),
+                   trace.requiredWords.size(),
+                   f.get()) != trace.requiredWords.size()) {
+        dsp_fatal("truncated required sets in '%s'", path.c_str());
     }
     return trace;
 }

@@ -20,11 +20,14 @@
 
 namespace dsp {
 
-/** One L2 miss, fully annotated. POD, 40 bytes on disk. */
+/**
+ * One L2 miss, fully annotated except for its required set, which the
+ * Trace keeps in a separate word plane sized to the machine. POD,
+ * 32 bytes on disk.
+ */
 struct TraceRecord {
     Addr addr = 0;            ///< data byte address
     Addr pc = 0;              ///< PC of the missing load/store
-    std::uint64_t requiredMask = 0;  ///< caches that must observe
     std::uint32_t requester = 0;
     std::uint32_t responder = 0;     ///< memoryResponder = memory
     std::uint8_t type = 0;           ///< RequestType
@@ -38,34 +41,18 @@ struct TraceRecord {
     {
         return static_cast<RequestType>(type);
     }
-
-    DestinationSet
-    required() const
-    {
-        return DestinationSet::fromMask(requiredMask);
-    }
-
-    /** Convert to the protocol-engine input for an n-node system. */
-    MissInfo
-    toMissInfo(NodeId num_nodes) const
-    {
-        MissInfo info;
-        info.addr = addr;
-        info.pc = pc;
-        info.requester = requester;
-        info.type = requestType();
-        info.required = required();
-        info.responder = responder == memoryResponder
-                             ? invalidNode
-                             : static_cast<NodeId>(responder);
-        info.home = homeOf(blockOf(addr), num_nodes);
-        return info;
-    }
 };
 
-static_assert(sizeof(TraceRecord) == 40, "trace record layout changed");
+static_assert(sizeof(TraceRecord) == 32, "trace record layout changed");
 
-/** An in-memory trace plus the execution metadata Table 2 needs. */
+/**
+ * An in-memory trace plus the execution metadata Table 2 needs.
+ *
+ * Record i's required set (the caches that must observe the miss) is
+ * words [i * W, (i + 1) * W) of `requiredWords`, W = ceil(numNodes /
+ * 64): one word per record up to 64 nodes, four at 256. Set numNodes
+ * before the first append().
+ */
 struct Trace {
     std::string workloadName;
     NodeId numNodes = 16;
@@ -78,9 +65,53 @@ struct Trace {
     std::uint64_t warmupInstructions = 0;
 
     std::vector<TraceRecord> records;
+    std::vector<std::uint64_t> requiredWords;
 
     std::size_t size() const { return records.size(); }
     bool empty() const { return records.empty(); }
+
+    /** Words of requiredWords per record. */
+    unsigned
+    wordsPerRecord() const
+    {
+        return (numNodes + 63) / 64;
+    }
+
+    /** Add one miss and its required set. */
+    void
+    append(const TraceRecord &record, const DestinationSet &required)
+    {
+        records.push_back(record);
+        const auto &words = required.words();
+        requiredWords.insert(requiredWords.end(), words.begin(),
+                             words.begin() + wordsPerRecord());
+    }
+
+    /** The caches that must observe record i. */
+    DestinationSet
+    required(std::size_t i) const
+    {
+        const unsigned w = wordsPerRecord();
+        return DestinationSet::fromWords(&requiredWords[i * w], w);
+    }
+
+    /** Record i as the protocol-engine input. */
+    MissInfo
+    missInfo(std::size_t i) const
+    {
+        const TraceRecord &record = records[i];
+        MissInfo info;
+        info.addr = record.addr;
+        info.pc = record.pc;
+        info.requester = record.requester;
+        info.type = record.requestType();
+        info.required = required(i);
+        info.responder = record.responder == TraceRecord::memoryResponder
+                             ? invalidNode
+                             : static_cast<NodeId>(record.responder);
+        info.home = homeOf(blockOf(record.addr), numNodes);
+        return info;
+    }
 
     /** Misses after warmup. */
     std::uint64_t
@@ -101,15 +132,20 @@ struct Trace {
     }
 };
 
+/** Version written into, and required of, every trace file header. */
+constexpr std::uint32_t traceVersion = 2;
+
 /**
- * Write a trace to a binary file. Format: fixed header, then raw
- * records. Returns false (with a warning) on I/O failure.
+ * Write a trace to a binary file. Format: fixed header, then the raw
+ * records, then the required-set word plane. Returns false (with a
+ * warning) on I/O failure.
  */
 bool writeTrace(const Trace &trace, const std::string &path);
 
 /**
  * Read a trace written by writeTrace(). Calls dsp_fatal on malformed
- * input (bad magic / truncated file).
+ * input (bad magic, another version, a node count outside
+ * 1..maxNodes, a truncated file).
  */
 Trace readTrace(const std::string &path);
 

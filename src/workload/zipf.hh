@@ -41,15 +41,15 @@ class ZipfSampler
     std::uint64_t sample(Rng &rng) const;
 
     /**
-     * A sample split into its RNG draw and its table lookup. The
-     * alias cell a draw lands on is uniformly random, so for the big
-     * tables the cell load is a guaranteed host-cache miss; begin()
+     * A sample split into its RNG draw and its table lookup. begin()
      * makes all the RNG draws (exactly the draws sample() makes, in
-     * the same order) and issues a prefetch for the cell, and
-     * finish() reads it. Callers interleave independent work (their
-     * other per-ref draws) between the two, hiding the fetch latency
-     * that used to stall every reference. begin()+finish() is
-     * draw-for-draw and value-identical to sample().
+     * the same order) and locates the alias cell, and finish() reads
+     * it; callers put their other per-ref draws between the two.
+     * begin()+finish() is draw-for-draw and value-identical to
+     * sample(). The split is measured, not assumed: the one-shot form
+     * cost detailed16-barnes 11-13% of misses_per_s and 6-17% of
+     * setup_s (ablation row 8 in docs/access_pipeline.md), although
+     * an explicit prefetch of the cell in begin() bought nothing.
      */
     struct Pending {
         std::uint64_t value = 0;     ///< resolved rank (non-alias) or column
@@ -67,9 +67,8 @@ class ZipfSampler
             auto col = static_cast<std::uint64_t>(u);
             if (col >= n_)
                 col = n_ - 1;  // guard against u == 1.0 rounding
-            const AliasCell *cell = &alias_[col];
-            __builtin_prefetch(cell, 0, 3);
-            return Pending{col, u - static_cast<double>(col), cell};
+            return Pending{col, u - static_cast<double>(col),
+                           &alias_[col]};
         }
         return Pending{sampleCdf(rng), 0.0, nullptr};
     }
@@ -154,7 +153,7 @@ class WorkingSetSampler
 
     /** Split sample (see ZipfSampler::begin): all draws happen in
      *  begin(), in sample()'s order; finish() only reads the
-     *  prefetched alias cell. */
+     *  alias cell. */
     struct Pending {
         bool hot = false;
         std::uint64_t cold = 0;

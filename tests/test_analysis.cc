@@ -18,7 +18,7 @@ constexpr NodeId kNodes = 16;
 
 TraceRecord
 record(Addr addr, Addr pc, NodeId req, RequestType type,
-       std::uint32_t responder, std::uint64_t required_mask)
+       std::uint32_t responder)
 {
     TraceRecord r;
     r.addr = addr;
@@ -26,8 +26,14 @@ record(Addr addr, Addr pc, NodeId req, RequestType type,
     r.requester = req;
     r.type = static_cast<std::uint8_t>(type);
     r.responder = responder;
-    r.requiredMask = required_mask;
     return r;
+}
+
+/** The set whose word 0 is `low` (bit i <=> node i). */
+DestinationSet
+lowWord(std::uint64_t low)
+{
+    return DestinationSet::fromWords(DestinationSet::Words{low});
 }
 
 Trace
@@ -40,16 +46,15 @@ syntheticTrace()
     trace.warmupInstructions = 0;
     // 4 misses: one memory read, one c2c read, one upgrade with a
     // sharer, one widely-shared write.
-    trace.records = {
-        record(0x0000, 0x10, 0, RequestType::GetShared,
-               TraceRecord::memoryResponder, 0),
-        record(0x1000, 0x14, 1, RequestType::GetShared, 2,
-               DestinationSet::of(2).mask()),
-        record(0x2000, 0x18, 3, RequestType::GetExclusive, 3,
-               DestinationSet::of(4).mask()),
-        record(0x3000, 0x1c, 5, RequestType::GetExclusive, 6,
-               0b11011000000ull),  // nodes 6,7,9,10
-    };
+    trace.append(record(0x0000, 0x10, 0, RequestType::GetShared,
+                        TraceRecord::memoryResponder),
+                 DestinationSet{});
+    trace.append(record(0x1000, 0x14, 1, RequestType::GetShared, 2),
+                 DestinationSet::of(2));
+    trace.append(record(0x2000, 0x18, 3, RequestType::GetExclusive, 3),
+                 DestinationSet::of(4));
+    trace.append(record(0x3000, 0x1c, 5, RequestType::GetExclusive, 6),
+                 lowWord(0b11011000000ull));  // nodes 6,7,9,10
     return trace;
 }
 
@@ -111,17 +116,17 @@ TEST(Characterization, Figure3TouchedByAndWeighting)
     // Block 0x0 touched by nodes 0,1,2 (3 misses); block 0x1000 by
     // node 3 alone (1 miss).
     chars.onMissRecord(record(0x0000, 0x10, 0, RequestType::GetShared,
-                              TraceRecord::memoryResponder, 0),
-                       true);
+                              TraceRecord::memoryResponder),
+                       DestinationSet{}, true);
     chars.onMissRecord(record(0x0000, 0x10, 1, RequestType::GetShared,
-                              0, 1),
-                       true);
+                              0),
+                       lowWord(1), true);
     chars.onMissRecord(record(0x0000, 0x10, 2, RequestType::GetShared,
-                              0, 1),
-                       true);
+                              0),
+                       lowWord(1), true);
     chars.onMissRecord(record(0x1000, 0x14, 3, RequestType::GetShared,
-                              TraceRecord::memoryResponder, 0),
-                       true);
+                              TraceRecord::memoryResponder),
+                       DestinationSet{}, true);
 
     auto blocks = chars.blocksTouchedBy();
     EXPECT_EQ(blocks.bucket(1), 1u);
@@ -129,6 +134,34 @@ TEST(Characterization, Figure3TouchedByAndWeighting)
 
     auto weighted = chars.missesToBlocksTouchedBy();
     EXPECT_EQ(weighted.bucket(3), 3u);
+    EXPECT_EQ(weighted.bucket(1), 1u);
+}
+
+TEST(Characterization, TouchersAboveNode63AreDistinct)
+{
+    // At 256 nodes, nodes 6 and 70 touch the same block: two
+    // touchers, whether seen as references or as miss requesters.
+    WorkloadCharacterization chars(256);
+    chars.beginMeasurement(0);
+    MemRef ref;
+    ref.addr = 0x8000;
+    chars.onReference(6, ref);
+    chars.onReference(70, ref);
+    chars.onMissRecord(record(0x9000, 0x10, 6, RequestType::GetShared,
+                              TraceRecord::memoryResponder),
+                       DestinationSet{}, true);
+    chars.onMissRecord(record(0x9000, 0x10, 70, RequestType::GetShared,
+                              TraceRecord::memoryResponder),
+                       DestinationSet{}, true);
+    chars.onMissRecord(record(0xa000, 0x10, 255, RequestType::GetShared,
+                              TraceRecord::memoryResponder),
+                       DestinationSet{}, true);
+
+    auto blocks = chars.blocksTouchedBy();
+    EXPECT_EQ(blocks.bucket(2), 2u);
+    EXPECT_EQ(blocks.bucket(1), 1u);
+    auto weighted = chars.missesToBlocksTouchedBy();
+    EXPECT_EQ(weighted.bucket(2), 2u);
     EXPECT_EQ(weighted.bucket(1), 1u);
 }
 
@@ -184,9 +217,9 @@ pingPongTrace(std::size_t misses)
     for (std::size_t i = 0; i < misses; ++i) {
         NodeId me = 1 + (i % 2);
         NodeId other = 1 + ((i + 1) % 2);
-        trace.records.push_back(
-            record(0x4000, 0x20, me, RequestType::GetExclusive, other,
-                   DestinationSet::of(other).mask()));
+        trace.append(
+            record(0x4000, 0x20, me, RequestType::GetExclusive, other),
+            DestinationSet::of(other));
     }
     return trace;
 }
@@ -260,6 +293,53 @@ TEST(PredictorEval, WarmupExcludedFromStats)
     BroadcastSnoopingModel snooping(kNodes);
     EvalResult r = eval.evaluateBaseline(trace, snooping);
     EXPECT_EQ(r.misses, 50u);
+}
+
+TEST(PredictorEval, Replays256NodeCollectedTrace)
+{
+    // Collect at 256 nodes, where required sets reach past node 63,
+    // and replay: every stored set equals the live transaction's.
+    constexpr NodeId nodes = 256;
+    auto workload = makeWorkload("oltp", nodes, 5, 0.05);
+    TraceCollector collector(*workload);
+    std::vector<DestinationSet> live;
+    collector.addMissObserver(
+        [&](const TraceRecord &, const SharingTracker::Transaction &txn) {
+            live.push_back(txn.required);
+        });
+    Trace trace = collector.collect(500, 1500);
+    ASSERT_EQ(trace.size(), 2000u);
+    ASSERT_EQ(live.size(), trace.size());
+    EXPECT_EQ(trace.requiredWords.size(), trace.size() * 4);
+
+    bool high = false;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        ASSERT_EQ(trace.required(i), live[i]) << i;
+        ASSERT_EQ(trace.missInfo(i).required, live[i]) << i;
+        DestinationSet above = trace.required(i);
+        for (NodeId n = 0; n < 64; ++n)
+            above.remove(n);
+        high = high || !above.empty();
+    }
+    EXPECT_TRUE(high) << "no required set reached past node 63";
+
+    PredictorEvaluator eval(nodes);
+    BroadcastSnoopingModel snooping(nodes);
+    EvalResult snoop = eval.evaluateBaseline(trace, snooping);
+    EXPECT_EQ(snoop.misses, 1500u);
+    EXPECT_DOUBLE_EQ(snoop.requestMessagesPerMiss, nodes - 1.0);
+    EXPECT_DOUBLE_EQ(snoop.indirectionPct, 0.0);
+
+    PredictorConfig config;
+    config.numNodes = nodes;
+    config.entries = 8192;
+    EvalResult owner =
+        eval.evaluatePredictor(trace, PredictorPolicy::Owner, config);
+    EvalResult minimal = eval.evaluatePredictor(
+        trace, PredictorPolicy::AlwaysMinimal, config);
+    EXPECT_EQ(owner.misses, 1500u);
+    EXPECT_LT(owner.indirectionPct, minimal.indirectionPct);
+    EXPECT_LT(owner.requestMessagesPerMiss, snoop.requestMessagesPerMiss);
 }
 
 TEST(PredictorEval, PredictorsBeatMinimalOnRealWorkload)

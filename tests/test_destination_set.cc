@@ -14,6 +14,13 @@
 namespace dsp {
 namespace {
 
+/** The set whose word 0 is `low` (bit i <=> node i). */
+DestinationSet
+lowWord(std::uint64_t low)
+{
+    return DestinationSet::fromWords(DestinationSet::Words{low});
+}
+
 TEST(DestinationSet, StartsEmpty)
 {
     DestinationSet s;
@@ -61,17 +68,17 @@ TEST(DestinationSet, SingletonOf)
 
 TEST(DestinationSet, UnionIntersectionMinus)
 {
-    DestinationSet a = DestinationSet::fromMask(0b1010);
-    DestinationSet b = DestinationSet::fromMask(0b0110);
-    EXPECT_EQ((a | b).mask(), 0b1110u);
-    EXPECT_EQ((a & b).mask(), 0b0010u);
-    EXPECT_EQ(a.minus(b).mask(), 0b1000u);
+    DestinationSet a = lowWord(0b1010);
+    DestinationSet b = lowWord(0b0110);
+    EXPECT_EQ((a | b).words(), lowWord(0b1110).words());
+    EXPECT_EQ((a & b).words(), lowWord(0b0010).words());
+    EXPECT_EQ(a.minus(b).words(), lowWord(0b1000).words());
 }
 
 TEST(DestinationSet, ContainsAllSemantics)
 {
-    DestinationSet big = DestinationSet::fromMask(0b1111);
-    DestinationSet small = DestinationSet::fromMask(0b0101);
+    DestinationSet big = lowWord(0b1111);
+    DestinationSet small = lowWord(0b0101);
     EXPECT_TRUE(big.containsAll(small));
     EXPECT_FALSE(small.containsAll(big));
     EXPECT_TRUE(small.containsAll(DestinationSet{}));
@@ -80,7 +87,7 @@ TEST(DestinationSet, ContainsAllSemantics)
 
 TEST(DestinationSet, ForEachVisitsAscending)
 {
-    DestinationSet s = DestinationSet::fromMask(0b101001);
+    DestinationSet s = lowWord(0b101001);
     std::vector<NodeId> visited;
     s.forEach([&](NodeId n) { visited.push_back(n); });
     EXPECT_EQ(visited, (std::vector<NodeId>{0, 3, 5}));
@@ -160,18 +167,30 @@ TEST(DestinationSet, WideSetAlgebra)
     EXPECT_EQ((rest | b), a);
 }
 
-TEST(DestinationSet, MaskRoundTripsLowWord)
+TEST(DestinationSet, FromWordsPlaneTakesOnlyCountWords)
 {
-    // mask() remains the legacy <= 64-node interchange format (trace
-    // files, predictor training words); it must round-trip fromMask
-    // and reject sets with members above node 63.
-    DestinationSet s = DestinationSet::fromMask(0x8000000000000001ull);
-    EXPECT_EQ(s.mask(), 0x8000000000000001ull);
-    EXPECT_TRUE(s.contains(0));
-    EXPECT_TRUE(s.contains(63));
-    s.add(64);
-    PanicGuard guard;
-    EXPECT_THROW(s.mask(), std::runtime_error);
+    // A plane stores ceil(N/64) words per set; fromWords(ptr, count)
+    // must read exactly those and leave the rest of the set empty.
+    const std::uint64_t plane[] = {0x8000000000000001ull, 0x5ull,
+                                   ~std::uint64_t{0}, 0x1ull};
+    DestinationSet one = DestinationSet::fromWords(plane, 1);
+    EXPECT_EQ(one.words(), lowWord(0x8000000000000001ull).words());
+    EXPECT_TRUE(one.contains(0));
+    EXPECT_TRUE(one.contains(63));
+    EXPECT_FALSE(one.contains(64));
+
+    DestinationSet two = DestinationSet::fromWords(plane + 1, 2);
+    EXPECT_EQ(two.count(), 2u + 64u);
+    EXPECT_TRUE(two.contains(0));
+    EXPECT_TRUE(two.contains(2));
+    EXPECT_TRUE(two.contains(127));
+    EXPECT_FALSE(two.contains(128));
+
+    DestinationSet all = DestinationSet::fromWords(
+        plane, DestinationSet::wordCount);
+    EXPECT_EQ(all, DestinationSet::fromWords(DestinationSet::Words{
+                       plane[0], plane[1], plane[2], plane[3]}));
+    EXPECT_TRUE(all.contains(192));
 }
 
 /** Property sweep over random sets: algebraic identities hold. */
@@ -183,8 +202,8 @@ TEST_P(SetAlgebra, Identities)
 {
     Rng rng(GetParam());
     for (int i = 0; i < 200; ++i) {
-        DestinationSet a = DestinationSet::fromMask(rng.next());
-        DestinationSet b = DestinationSet::fromMask(rng.next());
+        DestinationSet a = lowWord(rng.next());
+        DestinationSet b = lowWord(rng.next());
 
         // union is commutative and contains both operands
         EXPECT_EQ((a | b), (b | a));

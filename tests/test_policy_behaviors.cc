@@ -24,9 +24,9 @@ namespace {
 
 constexpr NodeId kNodes = 16;
 
-TraceRecord
-record(Addr addr, NodeId req, RequestType type, std::uint32_t resp,
-       DestinationSet required)
+void
+append(Trace &trace, Addr addr, NodeId req, RequestType type,
+       std::uint32_t resp, const DestinationSet &required)
 {
     TraceRecord r;
     r.addr = addr;
@@ -34,8 +34,7 @@ record(Addr addr, NodeId req, RequestType type, std::uint32_t resp,
     r.requester = req;
     r.type = static_cast<std::uint8_t>(type);
     r.responder = resp;
-    r.requiredMask = required.mask();
-    return r;
+    trace.append(r, required);
 }
 
 /** Migratory items bouncing between fixed pairs (2k, 2k+1). */
@@ -56,9 +55,8 @@ pairwiseTrace(std::size_t misses, std::uint64_t seed)
         NodeId cur = owner[item];
         NodeId next = static_cast<NodeId>(cur ^ 1);  // the partner
         Addr addr = 0x100000 + item * blockBytes;
-        trace.records.push_back(
-            record(addr, next, RequestType::GetExclusive, cur,
-                   DestinationSet::of(cur)));
+        append(trace, addr, next, RequestType::GetExclusive, cur,
+               DestinationSet::of(cur));
         owner[item] = next;
     }
     trace.warmupRecords = misses / 4;
@@ -75,15 +73,14 @@ wideSharingTrace(std::size_t misses, std::uint64_t seed)
     trace.totalInstructions = misses * 100;
     Rng rng(seed);
     std::vector<NodeId> owner(16, invalidNode);
-    std::vector<std::uint64_t> sharers(16, 0);
+    std::vector<DestinationSet> sharers(16);
     for (std::size_t i = 0; i < misses; ++i) {
         std::size_t blockIdx = rng.uniformInt(16);
         Addr addr = 0x200000 + blockIdx * blockBytes;
         NodeId p = static_cast<NodeId>(rng.uniformInt(kNodes));
         if (rng.chance(0.1)) {
             // write: must reach owner + all sharers
-            DestinationSet req =
-                DestinationSet::fromMask(sharers[blockIdx]);
+            DestinationSet req = sharers[blockIdx];
             if (owner[blockIdx] != invalidNode)
                 req.add(owner[blockIdx]);
             req.remove(p);
@@ -93,10 +90,9 @@ wideSharingTrace(std::size_t misses, std::uint64_t seed)
                     : owner[blockIdx];
             if (owner[blockIdx] == p)
                 resp = p;
-            trace.records.push_back(record(
-                addr, p, RequestType::GetExclusive, resp, req));
+            append(trace, addr, p, RequestType::GetExclusive, resp, req);
             owner[blockIdx] = p;
-            sharers[blockIdx] = 0;
+            sharers[blockIdx] = DestinationSet{};
         } else {
             DestinationSet req;
             std::uint32_t resp = TraceRecord::memoryResponder;
@@ -105,9 +101,8 @@ wideSharingTrace(std::size_t misses, std::uint64_t seed)
                 req.add(owner[blockIdx]);
                 resp = owner[blockIdx];
             }
-            trace.records.push_back(
-                record(addr, p, RequestType::GetShared, resp, req));
-            sharers[blockIdx] |= std::uint64_t{1} << p;
+            append(trace, addr, p, RequestType::GetShared, resp, req);
+            sharers[blockIdx].add(p);
         }
     }
     trace.warmupRecords = misses / 4;
@@ -138,8 +133,7 @@ groupTrace(std::size_t misses, std::uint64_t seed)
         } else if (owner[blockIdx] == p) {
             resp = p;
         }
-        trace.records.push_back(
-            record(addr, p, RequestType::GetExclusive, resp, req));
+        append(trace, addr, p, RequestType::GetExclusive, resp, req);
         owner[blockIdx] = p;
     }
     trace.warmupRecords = misses / 4;

@@ -794,8 +794,8 @@ TEST_P(MinimalSetContract, HoldsUnderRandomTraining)
             break;
           case 3:
             pred->trainRetry(addr, pc,
-                             DestinationSet::fromMask(rng.next() &
-                                                      0xffff));
+                             DestinationSet::fromWords(DestinationSet::Words{
+                                 rng.next() & 0xffff}));
             break;
         }
 

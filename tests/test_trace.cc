@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "analysis/trace_collector.hh"
 #include "sim/logging.hh"
@@ -27,7 +29,14 @@ tempPath(const char *name)
     return std::string("/tmp/dsp_test_") + name + ".trace";
 }
 
-TEST(TraceRecord, MissInfoConversion)
+/** The set whose word 0 is `low` (bit i <=> node i). */
+DestinationSet
+lowWord(std::uint64_t low)
+{
+    return DestinationSet::fromWords(DestinationSet::Words{low});
+}
+
+TEST(Trace, MissInfoConversion)
 {
     TraceRecord record;
     record.addr = 0x12345;
@@ -36,23 +45,45 @@ TEST(TraceRecord, MissInfoConversion)
     record.responder = 9;
     record.type =
         static_cast<std::uint8_t>(RequestType::GetExclusive);
-    record.requiredMask = 0b1010;
+    Trace trace;
+    trace.numNodes = kNodes;
+    trace.append(record, lowWord(0b1010));
 
-    MissInfo info = record.toMissInfo(kNodes);
+    MissInfo info = trace.missInfo(0);
     EXPECT_EQ(info.addr, 0x12345u);
     EXPECT_EQ(info.pc, 0x888u);
     EXPECT_EQ(info.requester, 5u);
     EXPECT_EQ(info.responder, 9u);
     EXPECT_EQ(info.type, RequestType::GetExclusive);
-    EXPECT_EQ(info.required.mask(), 0b1010u);
+    EXPECT_EQ(info.required.words(), lowWord(0b1010).words());
     EXPECT_EQ(info.home, homeOf(blockOf(0x12345), kNodes));
 }
 
-TEST(TraceRecord, MemoryResponderSentinel)
+TEST(Trace, MemoryResponderSentinel)
 {
     TraceRecord record;
     record.responder = TraceRecord::memoryResponder;
-    EXPECT_EQ(record.toMissInfo(kNodes).responder, invalidNode);
+    Trace trace;
+    trace.numNodes = kNodes;
+    trace.append(record, DestinationSet{});
+    EXPECT_EQ(trace.missInfo(0).responder, invalidNode);
+}
+
+TEST(Trace, PlaneHoldsOneWordPerRecordUpTo64Nodes)
+{
+    for (NodeId nodes : {2u, 16u, 64u, 65u, 128u, 256u}) {
+        Trace trace;
+        trace.numNodes = nodes;
+        DestinationSet required;
+        required.add(nodes - 1);
+        trace.append(TraceRecord{}, required);
+        trace.append(TraceRecord{}, DestinationSet::of(0));
+        EXPECT_EQ(trace.requiredWords.size(),
+                  2u * ((nodes + 63) / 64))
+            << nodes;
+        EXPECT_EQ(trace.required(0), required) << nodes;
+        EXPECT_EQ(trace.required(1), DestinationSet::of(0)) << nodes;
+    }
 }
 
 TEST(TraceIo, RoundTripPreservesEverything)
@@ -70,8 +101,7 @@ TEST(TraceIo, RoundTripPreservesEverything)
         r.requester = static_cast<std::uint32_t>(i);
         r.responder = i % 2 ? TraceRecord::memoryResponder
                             : static_cast<std::uint32_t>(i + 1);
-        r.requiredMask = static_cast<std::uint64_t>(i);
-        trace.records.push_back(r);
+        trace.append(r, lowWord(static_cast<std::uint64_t>(i)));
     }
 
     std::string path = tempPath("roundtrip");
@@ -89,11 +119,118 @@ TEST(TraceIo, RoundTripPreservesEverything)
         EXPECT_EQ(loaded.records[i].addr, trace.records[i].addr);
         EXPECT_EQ(loaded.records[i].responder,
                   trace.records[i].responder);
-        EXPECT_EQ(loaded.records[i].requiredMask,
-                  trace.records[i].requiredMask);
+        EXPECT_EQ(loaded.required(i).words(),
+                  trace.required(i).words());
     }
     EXPECT_EQ(loaded.measuredRecords(), 4u);
     EXPECT_EQ(loaded.measuredInstructions(), 122456u);
+}
+
+TEST(TraceIo, RoundTrip256NodesKeepsEveryWord)
+{
+    // Four words per record: members in every word must survive.
+    Trace trace;
+    trace.workloadName = "wide";
+    trace.numNodes = 256;
+    for (NodeId i = 0; i < 6; ++i) {
+        TraceRecord r;
+        r.addr = 0x1000u * (i + 1);
+        r.requester = i;
+        r.responder = 64 * (i % 4) + i;
+        DestinationSet required;
+        required.add(64 * (i % 4) + i);
+        required.add(255 - i);
+        if (i % 2)
+            required.add(70);
+        trace.append(r, required);
+    }
+    ASSERT_EQ(trace.requiredWords.size(), 6u * 4u);
+
+    std::string path = tempPath("roundtrip256");
+    ASSERT_TRUE(writeTrace(trace, path));
+    Trace loaded = readTrace(path);
+    std::remove(path.c_str());
+
+    EXPECT_EQ(loaded.numNodes, 256u);
+    ASSERT_EQ(loaded.size(), trace.size());
+    EXPECT_EQ(loaded.requiredWords, trace.requiredWords);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        EXPECT_EQ(loaded.required(i), trace.required(i)) << i;
+        EXPECT_EQ(loaded.records[i].responder,
+                  trace.records[i].responder);
+    }
+    EXPECT_TRUE(loaded.required(1).contains(70));
+    EXPECT_TRUE(loaded.required(3).contains(195));
+}
+
+/** Write a valid one-record trace, then overwrite the header field
+ *  at byte `offset` (8 = version and 12 = numNodes, both 32-bit;
+ *  24 = recordCount, 64-bit). */
+template <typename T>
+std::string
+patchedTrace(const char *name, long offset, T value)
+{
+    Trace trace;
+    trace.workloadName = "patched";
+    trace.numNodes = kNodes;
+    trace.append(TraceRecord{}, DestinationSet::of(3));
+    std::string path = tempPath(name);
+    EXPECT_TRUE(writeTrace(trace, path));
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    EXPECT_NE(f, nullptr);
+    std::fseek(f, offset, SEEK_SET);
+    std::fwrite(&value, sizeof(value), 1, f);
+    std::fclose(f);
+    return path;
+}
+
+TEST(TraceIo, UnpatchedHeaderReadsBack)
+{
+    // Control for the rejection tests below: rewriting a field with
+    // its own value must still load.
+    std::string path = patchedTrace("unpatched", 8, traceVersion);
+    Trace loaded = readTrace(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded.numNodes, kNodes);
+    EXPECT_EQ(loaded.required(0), DestinationSet::of(3));
+
+    path = patchedTrace("unpatched_nodes", 12, std::uint32_t{kNodes});
+    EXPECT_EQ(readTrace(path).numNodes, kNodes);
+    std::remove(path.c_str());
+
+    path = patchedTrace("unpatched_count", 24, std::uint64_t{1});
+    EXPECT_EQ(readTrace(path).size(), 1u);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, Version1HeaderFatals)
+{
+    std::string path = patchedTrace("version1", 8, std::uint32_t{1});
+    PanicGuard guard;
+    EXPECT_THROW(readTrace(path), std::runtime_error);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, NodeCountOutsideRangeFatals)
+{
+    for (std::uint32_t nodes : {0u, maxNodes + 1}) {
+        std::string path = patchedTrace("badnodes", 12, nodes);
+        PanicGuard guard;
+        EXPECT_THROW(readTrace(path), std::runtime_error) << nodes;
+        std::remove(path.c_str());
+    }
+}
+
+TEST(TraceIo, RecordCountBeyondFileFatals)
+{
+    // One record more than the file holds, and one so large that
+    // allocating for it would fail: both are rejected before reading.
+    for (std::uint64_t count : {std::uint64_t{2}, std::uint64_t{1} << 60}) {
+        std::string path = patchedTrace("badcount", 24, count);
+        PanicGuard guard;
+        EXPECT_THROW(readTrace(path), std::runtime_error) << count;
+        std::remove(path.c_str());
+    }
 }
 
 TEST(TraceIo, MissingFileFatals)
@@ -137,15 +274,16 @@ TEST(TraceCollector, RecordsAreInternallyConsistent)
     TraceCollector collector(*workload);
     Trace trace = collector.collect(0, 2000);
 
-    for (const TraceRecord &r : trace.records) {
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const TraceRecord &r = trace.records[i];
         ASSERT_LT(r.requester, kNodes);
         // Required set never includes the requester.
-        ASSERT_FALSE(r.required().contains(r.requester));
+        ASSERT_FALSE(trace.required(i).contains(r.requester));
         // A cache responder is always a member of the required set
         // unless the responder is the requester itself (upgrade).
         if (r.responder != TraceRecord::memoryResponder &&
             r.responder != r.requester) {
-            ASSERT_TRUE(r.required().contains(r.responder));
+            ASSERT_TRUE(trace.required(i).contains(r.responder));
         }
     }
 }

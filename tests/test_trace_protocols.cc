@@ -276,7 +276,8 @@ TEST_P(MulticastProperty, SufficiencyInvariants)
                                ? RequestType::GetExclusive
                                : RequestType::GetShared;
         DestinationSet required =
-            DestinationSet::fromMask(rng.next() & 0xffff);
+            DestinationSet::fromWords(
+                DestinationSet::Words{rng.next() & 0xffff});
         required.remove(req);
         NodeId responder = invalidNode;
         if (!required.empty() && rng.chance(0.7)) {
