@@ -123,7 +123,6 @@ TraceCollector::collect(std::uint64_t warmup, std::uint64_t measured)
     trace.workloadName = workload_.name();
     trace.numNodes = numNodes_;
     trace.records.reserve(warmup + measured);
-
     trace.requiredWords.reserve((warmup + measured) *
                                 trace.wordsPerRecord());
 

@@ -41,6 +41,10 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 bool
 writeTrace(const Trace &trace, const std::string &path)
 {
+    dsp_assert(trace.requiredWords.size() ==
+                   trace.records.size() * trace.wordsPerRecord(),
+               "trace has %zu required words for %zu records",
+               trace.requiredWords.size(), trace.records.size());
     FilePtr f(std::fopen(path.c_str(), "wb"));
     if (!f) {
         dsp_warn("cannot open '%s' for writing", path.c_str());
